@@ -1,8 +1,8 @@
 """Command-line interface: coefficient tables, verifications, enumerations.
 
 Exit status: 0 if everything passed, 1 on a verification mismatch, 2 on a
-usage error.  Table output is deterministic byte-for-byte for fixed flags,
-independent of --jobs.
+usage error, 3 on an internal error.  Table output is deterministic
+byte-for-byte for fixed flags.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+import traceback
+from typing import Callable, Sequence
 
 from .factorization import (
     geode_series,
@@ -26,9 +26,6 @@ from .reports import VerificationReport
 from .series import TypeVector, enumerate_types
 from .subdigons import count_marked_subdigons, verify_bijections
 from .trees import count_marked_trees, enumerate_marked_trees, enumerate_trees
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 DEFAULT_MAX_WEIGHT = 8
 DEFAULT_MAX_ENUM_WEIGHT = 10
@@ -51,10 +48,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_nonnegative(args.max_enum_weight, "--max-enum-weight")
         return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # keep the traceback, but never let a crash exit 1 like a mismatch
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="add independently computed marked-tree and marked-subdigon "
         "columns (exhaustive; gated by --max-enum-weight)",
     )
-    p.add_argument("--inject-mismatch", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(handler=_cmd_g_table)
 
     p = sub.add_parser("trees", help="list the ordered trees of one type")
@@ -164,14 +166,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         help="refuse exhaustive enumeration above this edge weight "
         "(default %(default)s)",
     )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads for per-monomial computations (default 1); "
-        "output does not depend on this",
-    )
 
 
 def _cmd_s_table(args: argparse.Namespace) -> int:
@@ -179,11 +173,7 @@ def _cmd_s_table(args: argparse.Namespace) -> int:
     types = enumerate_types(args.max_weight)
     if args.no_bigons:
         types = [m for m in types if not m.multiplicity(1)]
-    values = _map_jobs(hyper_catalan, types, args.jobs)
-    rows = [
-        {"monomial": m.text, "coefficient": value}
-        for m, value in zip(types, values)
-    ]
+    rows = [{"monomial": m.text, "coefficient": hyper_catalan(m)} for m in types]
     _emit_table(rows, ["monomial", "coefficient"], args.format)
     return 0
 
@@ -203,16 +193,11 @@ def _cmd_g_table(args: argparse.Namespace) -> int:
             f"--with-counts enumerates every tree and subdigon, refusing above "
             f"edge weight {args.max_enum_weight}; raise --max-enum-weight to force"
         )
-    tree_counts = _map_jobs(count_marked_trees, types, args.jobs)
-    sub_counts = _map_jobs(count_marked_subdigons, types, args.jobs)
-    if args.inject_mismatch:
-        tree_counts = list(tree_counts)
-        tree_counts[-1] += 1
     columns += ["marked_trees", "marked_subdigons"]
     bad = []
-    for row, mt, ms in zip(rows, tree_counts, sub_counts):
-        row["marked_trees"] = mt
-        row["marked_subdigons"] = ms
+    for row, m in zip(rows, types):
+        mt, ms = count_marked_trees(m), count_marked_subdigons(m)
+        row.update(marked_trees=mt, marked_subdigons=ms)
         if not row["coefficient"] == mt == ms:
             bad.append(row["monomial"])
     _emit_table(rows, columns, args.format)
@@ -287,14 +272,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _require_nonnegative(value: int, flag: str) -> None:
     if value < 0:
         raise _UsageError(f"{flag} must be nonnegative, got {value}")
-
-
-def _map_jobs(fn: Callable[[T], R], items: Iterable[T], jobs: int) -> list[R]:
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit_table(rows: list[dict], columns: list[str], fmt: str) -> None:

@@ -21,7 +21,7 @@ verify_marked_* routines check this against exhaustive enumeration.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .hypercatalan import hyper_catalan, hyper_catalan_series
 from .reports import CheckGroup, Mismatch, VerificationReport
@@ -115,16 +115,7 @@ def verify_marked_trees(bound: int) -> VerificationReport:
     from the algebraic recurrence, the right from enumerating trees and
     counting initial leaves.  Exponential in the bound.
     """
-    g = geode_series(bound)
-    mismatches = []
-    types = enumerate_types(bound)
-    for m in types:
-        expected = g.coefficient(m)
-        actual = count_marked_trees(m)
-        if expected != actual:
-            mismatches.append(Mismatch(m.text, expected, actual))
-    group = CheckGroup("coefficients vs marked-tree counts", len(types), tuple(mismatches))
-    return VerificationReport("marked-trees", bound, (group,))
+    return _verify_counts("marked-trees", "marked-tree", count_marked_trees, bound)
 
 
 def verify_marked_subdigons(bound: int) -> VerificationReport:
@@ -134,15 +125,21 @@ def verify_marked_subdigons(bound: int) -> VerificationReport:
     face, the polygon-side mirror of initial leaves.  Exponential in the
     bound.
     """
+    return _verify_counts(
+        "marked-subdigons", "marked-subdigon", count_marked_subdigons, bound
+    )
+
+
+def _verify_counts(
+    name: str, label: str, count: Callable[[TypeVector], int], bound: int
+) -> VerificationReport:
     g = geode_series(bound)
     mismatches = []
     types = enumerate_types(bound)
     for m in types:
         expected = g.coefficient(m)
-        actual = count_marked_subdigons(m)
+        actual = count(m)
         if expected != actual:
             mismatches.append(Mismatch(m.text, expected, actual))
-    group = CheckGroup(
-        "coefficients vs marked-subdigon counts", len(types), tuple(mismatches)
-    )
-    return VerificationReport("marked-subdigons", bound, (group,))
+    group = CheckGroup(f"coefficients vs {label} counts", len(types), tuple(mismatches))
+    return VerificationReport(name, bound, (group,))

@@ -33,6 +33,7 @@ from .trees import (
     LEAF,
     OrderedTree,
     Path,
+    _parse_brackets,
     compose_tree,
     decompose_tree,
     enumerate_marked_trees,
@@ -80,9 +81,11 @@ class Subdigon:
     def parse(cls, text: str) -> Subdigon:
         if text == TRIVIAL_TEXT:
             return cls()
-        sub, end = _parse_face(text, 0)
-        if end != len(text):
-            raise ValueError(f"trailing input after position {end} in {text!r}")
+        sub, marks = _parse_brackets(
+            text, lambda slots: Subdigon(slots) if slots else None
+        )
+        if marks:
+            raise ValueError(f"unexpected '*' in unmarked text {text!r}")
         if sub is None:
             raise ValueError(
                 f"{text!r} is a bare boundary edge; the trivial subdigon is {TRIVIAL_TEXT!r}"
@@ -94,21 +97,6 @@ class Subdigon:
 
 
 TRIVIAL = Subdigon()
-
-
-def _parse_face(text: str, start: int) -> tuple[Subdigon | None, int]:
-    if start >= len(text) or text[start] != "(":
-        raise ValueError(f"expected '(' at position {start} in {text!r}")
-    pos = start + 1
-    slots: list[Subdigon | None] = []
-    while pos < len(text) and text[pos] != ")":
-        slot, pos = _parse_face(text, pos)
-        slots.append(slot)
-    if pos >= len(text):
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    if not slots:
-        return None, pos + 1  # "()" is a boundary edge, not a face
-    return Subdigon(tuple(slots)), pos + 1
 
 
 @dataclass(frozen=True)

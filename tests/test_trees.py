@@ -38,9 +38,14 @@ def test_parse_serialize_examples():
     assert OrderedTree.parse("()") == LEAF
     assert OrderedTree.parse("(()())") == OrderedTree((LEAF, LEAF))
     assert OrderedTree.parse(SECT2_TREE).serialize() == SECT2_TREE
-    for bad in ["", "(", "(()", "()()", "(()))"]:
+    for bad in ["", "(", "(()", "()()", "(()))", ")", "(*)", "(" * 3000]:
         with pytest.raises(ValueError):
             OrderedTree.parse(bad)
+
+
+def test_deep_chain_parses_without_recursion():
+    chain = OrderedTree.parse("(" * 3000 + ")" * 3000)
+    assert tree_type(chain) == V((2999,))
 
 
 @given(random_trees)
@@ -166,6 +171,10 @@ def test_marked_tree_text_forms():
         MarkedTree.parse("(()())")  # no mark
     with pytest.raises(ValueError):
         MarkedTree.parse("(**)")  # two marks
+    deep = "(" * 3000 + "{}" + ")" * 3000
+    for bad in [deep.format("()"), deep.format("**")]:
+        with pytest.raises(ValueError):
+            MarkedTree.parse(bad)
 
 
 def test_decompose_examples():
