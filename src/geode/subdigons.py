@@ -33,6 +33,7 @@ from .trees import (
     LEAF,
     OrderedTree,
     Path,
+    _mark_text,
     _parse_brackets,
     compose_tree,
     decompose_tree,
@@ -121,20 +122,7 @@ class MarkedSubdigon:
     def serialize(self) -> str:
         if self.subdigon.is_trivial:
             return "*"
-        seen = 0
-
-        def rec(face: Subdigon) -> str:
-            nonlocal seen
-            parts = []
-            for slot in face.slots:
-                if slot is None:
-                    parts.append("*" if seen == self.mark else "()")
-                    seen += 1
-                else:
-                    parts.append(rec(slot))
-            return "(" + "".join(parts) + ")"
-
-        return rec(self.subdigon)
+        return _mark_text(self.subdigon.serialize(), self.mark)
 
 
 def subdigon_type(sub: Subdigon) -> TypeVector:

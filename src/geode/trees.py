@@ -5,6 +5,12 @@ Its type is the vector m with m_n = number of nodes having exactly n
 children (the downdegree sequence), so a tree of type m has edge_weight(m)
 edges and leaf_count(m) leaves.
 
+Internally a tree is its preorder degree word (Lukasiewicz code): the child
+counts of its nodes in preorder, so "(()(()()))" is [2, 0, 2, 0, 0].
+`enumerate_trees` and `count_marked_trees` run over words, and
+`count_initial_leaves`, `decompose_tree` and `compose_tree` scan and splice
+them.  `OrderedTree` is the nested public view, walked by loops only.
+
 Text form: a leaf is "()" and an internal node wraps the forms of its
 children, e.g. "(()())" is a root with two leaf children.  A marked tree
 renders its marked leaf as "*".
@@ -13,12 +19,13 @@ renders its marked leaf as "*".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from .series import TypeVector
 
 Path = tuple[int, ...]
 Node = TypeVar("Node")
+Word = list[int]
 
 
 @dataclass(frozen=True)
@@ -30,7 +37,17 @@ class OrderedTree:
         return not self.children
 
     def serialize(self) -> str:
-        return "(" + "".join(child.serialize() for child in self.children) + ")"
+        parts: list[str] = []
+        stack: list[OrderedTree | None] = [self]  # None closes a node
+        while stack:
+            node = stack.pop()
+            if node is None:
+                parts.append(")")
+            else:
+                parts.append("(")
+                stack.append(None)
+                stack += node.children[::-1]
+        return "".join(parts)
 
     @classmethod
     def parse(cls, text: str) -> OrderedTree:
@@ -80,6 +97,13 @@ def _parse_brackets(
     return stack[0][0], marks
 
 
+def _mark_text(text: str, mark: int) -> str:
+    """Render the mark-th "()" of a bracket text as "*"."""
+    # "()" occurs only as a childless node, so this is the mark-th leaf
+    pieces = text.split("()", mark + 1)
+    return "()".join(pieces[:-1]) + "*" + pieces[-1]
+
+
 @dataclass(frozen=True)
 class MarkedTree:
     """A tree with one marked leaf, identified by its post-order position.
@@ -99,16 +123,7 @@ class MarkedTree:
             )
 
     def serialize(self) -> str:
-        seen = 0
-
-        def rec(node: OrderedTree) -> str:
-            nonlocal seen
-            if node.is_leaf:
-                seen += 1
-                return "*" if seen - 1 == self.mark else "()"
-            return "(" + "".join(rec(child) for child in node.children) + ")"
-
-        return rec(self.tree)
+        return _mark_text(self.tree.serialize(), self.mark)
 
     @classmethod
     def parse(cls, text: str) -> MarkedTree:
@@ -123,67 +138,70 @@ class MarkedTree:
 
 def tree_type(tree: OrderedTree) -> TypeVector:
     """Downdegree counts: entry n is the number of nodes with n children."""
-    counts: dict[int, int] = {}
+    word = _word(tree)
+    return TypeVector(tuple(word.count(n) for n in range(1, max(word) + 1)))
+
+
+def _word(tree: OrderedTree) -> Word:
+    """The preorder degree word of a tree."""
+    word: Word = []
     stack = [tree]
     while stack:
-        node = stack.pop()
-        degree = len(node.children)
-        if degree:
-            counts[degree] = counts.get(degree, 0) + 1
-            stack.extend(node.children)
-    if not counts:
-        return TypeVector.zero()
-    top = max(counts)
-    return TypeVector(tuple(counts.get(n, 0) for n in range(1, top + 1)))
+        children = stack.pop().children
+        word.append(len(children))
+        stack += children[::-1]
+    return word
+
+
+def _tree_from_preorder(word: Word) -> OrderedTree:
+    """Inverse of _word: evaluate the word right to left as Polish notation."""
+    stack: list[OrderedTree] = []  # finished subtrees, the leftmost on top
+    for degree in reversed(word):
+        cut = len(stack) - degree
+        stack[cut:] = [OrderedTree(tuple(stack[cut:][::-1])) if degree else LEAF]
+    return stack[0]
+
+
+def _words(m: TypeVector) -> Iterator[Word]:
+    """Every preorder degree word of type m, in ascending lexicographic order.
+
+    A word spends m_n letters n and one 0 per leaf, and is admissible iff
+    each proper prefix leaves a child slot open (the root has one; a letter
+    d fills one and opens d).  Backtracks in a loop; yields fresh lists.
+    """
+    counts = [m.leaf_count, *m.entries]  # letters still to place, by degree
+    internal = m.node_count - m.leaf_count
+    slots = 1  # open child slots after the prefix
+    word: Word = []
+    d = 0  # the next letter to try after the prefix
+    while True:
+        if not internal:
+            # only leaves remain, and they fill the open slots exactly
+            yield word + [0] * counts[0]
+        elif d < len(counts):
+            # an internal node is still to come, so a leaf must not close
+            # the last open slot; the slots never outnumber the leaves left
+            if counts[d] and (d or slots > 1):
+                counts[d] -= 1
+                word.append(d)
+                slots, internal, d = slots - 1 + d, internal - bool(d), 0
+            else:
+                d += 1
+            continue
+        if not word:
+            return
+        # backtrack: take back the last letter and try the next one in its place
+        d = word.pop()
+        counts[d] += 1
+        slots, internal, d = slots + 1 - d, internal + bool(d), d + 1
 
 
 def enumerate_trees(m: TypeVector) -> list[OrderedTree]:
     """Every ordered tree of type m, exactly once, in a fixed order.
 
-    Trees are generated through their preorder degree words over the multiset
-    holding m_n copies of each degree n plus one 0 per leaf.  A word is
-    admissible iff each proper prefix leaves at least one child slot open
-    (start with one slot for the root; a node of degree d consumes a slot and
-    opens d).  Words are emitted in ascending lexicographic order.
+    Trees come in ascending lexicographic order of their degree words.
     """
-    counts = {0: m.leaf_count}
-    for n in range(1, len(m.entries) + 1):
-        if m.multiplicity(n):
-            counts[n] = m.multiplicity(n)
-    degrees = sorted(counts)
-    word: list[int] = []
-    out: list[OrderedTree] = []
-
-    def rec(open_slots: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(_tree_from_preorder(word))
-            return
-        for d in degrees:
-            if not counts[d]:
-                continue
-            slots = open_slots - 1 + d
-            # every remaining node fills exactly one slot, so the open count
-            # can never exceed the nodes still to be placed
-            if (slots == 0) != (remaining == 1) or slots > remaining - 1:
-                continue
-            counts[d] -= 1
-            word.append(d)
-            rec(slots, remaining - 1)
-            word.pop()
-            counts[d] += 1
-
-    rec(1, m.node_count)
-    return out
-
-
-def _tree_from_preorder(word: list[int]) -> OrderedTree:
-    it = iter(word)
-
-    def build() -> OrderedTree:
-        degree = next(it)
-        return OrderedTree(tuple(build() for _ in range(degree)))
-
-    return build()
+    return [_tree_from_preorder(word) for word in _words(m)]
 
 
 def post_order(tree: OrderedTree) -> list[tuple[Path, OrderedTree]]:
@@ -193,15 +211,14 @@ def post_order(tree: OrderedTree) -> list[tuple[Path, OrderedTree]]:
     left-to-right order.  Paths are child-index sequences from the root;
     they keep positions distinct even when equal subtrees repeat.
     """
+    # the reverse of a preorder walk that visits children right to left
     out: list[tuple[Path, OrderedTree]] = []
-
-    def rec(node: OrderedTree, path: Path) -> None:
-        for i, child in enumerate(node.children):
-            rec(child, path + (i,))
+    stack: list[tuple[Path, OrderedTree]] = [((), tree)]
+    while stack:
+        path, node = stack.pop()
         out.append((path, node))
-
-    rec(tree, ())
-    return out
+        stack += [(path + (i,), child) for i, child in enumerate(node.children)]
+    return out[::-1]
 
 
 def clawed_nodes(tree: OrderedTree) -> list[tuple[Path, OrderedTree]]:
@@ -213,34 +230,47 @@ def clawed_nodes(tree: OrderedTree) -> list[tuple[Path, OrderedTree]]:
     ]
 
 
+def _first_claw(word: Word) -> int | None:
+    """Preorder index of the first clawed node met in post-order, if any.
+
+    That node ends the leftmost descent through non-leaf children, so it is
+    the first nonzero letter whose next word[i] letters are all leaves.
+    """
+    for i, degree in enumerate(word):
+        if degree and not any(word[i + 1 : i + 1 + degree]):
+            return i
+    return None
+
+
+def _initial_leaves(word: Word) -> int:
+    # every leaf before the first clawed node lies left of the descent, so
+    # post-order visits it first; the claw's own leaves follow
+    i = _first_claw(word)
+    return 1 if i is None else word[:i].count(0) + word[i]
+
+
 def count_initial_leaves(tree: OrderedTree) -> int:
     """Leaves visited before any internal node in post-order.
 
     The single-node tree has no internal node at all, so its one leaf counts.
     """
-    seen = 0
-    for _, node in post_order(tree):
-        if node.is_leaf:
-            seen += 1
-        else:
-            return seen
-    return seen
+    return _initial_leaves(_word(tree))
 
 
 def count_marked_trees(m: TypeVector) -> int:
     """Number of (tree of type m, initial leaf) pairs; a Geode coefficient.
 
-    Exhaustive, so only feasible at modest edge weight.
+    Exhaustive over degree words, so only feasible at modest edge weight.
     """
-    return sum(count_initial_leaves(tree) for tree in enumerate_trees(m))
+    return sum(_initial_leaves(word) for word in _words(m))
 
 
 def enumerate_marked_trees(m: TypeVector) -> list[MarkedTree]:
-    return [
-        MarkedTree(tree, mark)
-        for tree in enumerate_trees(m)
-        for mark in range(count_initial_leaves(tree))
-    ]
+    out: list[MarkedTree] = []
+    for word in _words(m):
+        tree = _tree_from_preorder(word)
+        out += (MarkedTree(tree, mark) for mark in range(_initial_leaves(word)))
+    return out
 
 
 def decompose_tree(tree: OrderedTree) -> tuple[int, MarkedTree]:
@@ -251,37 +281,23 @@ def decompose_tree(tree: OrderedTree) -> tuple[int, MarkedTree]:
     this realizes the bijection between trees of type m and pairs
     (n, marked tree of type m - e_n) behind S = 1 + (t_1 + t_2 + ...) G.
     """
-    if tree.is_leaf:
+    word = _word(tree)
+    i = _first_claw(word)
+    if i is None:
         raise ValueError("the single-node tree has no clawed node to strip")
-    path: list[int] = []
-    node = tree
-    while True:
-        step = next((i for i, c in enumerate(node.children) if not c.is_leaf), None)
-        if step is None:
-            break
-        path.append(step)
-        node = node.children[step]
-    # siblings left of the descent are all leaves, so the mark's post-order
-    # position is just the sum of the branch indices
-    stripped = _replace_node(tree, tuple(path), LEAF)
-    return len(node.children), MarkedTree(stripped, sum(path))
+    n = word[i]
+    word[i : i + 1 + n] = [0]
+    return n, MarkedTree(_tree_from_preorder(word), word[:i].count(0))
 
 
 def compose_tree(n: int, marked: MarkedTree) -> OrderedTree:
     """Attach n leaf children to the marked leaf; inverse of decompose_tree."""
     if n < 1:
         raise ValueError(f"child count must be positive, got {n}")
-    claw = OrderedTree((LEAF,) * n)
-    seen = 0
-
-    def rec(node: OrderedTree) -> OrderedTree:
-        nonlocal seen
-        if node.is_leaf:
-            seen += 1
-            return claw if seen - 1 == marked.mark else node
-        return OrderedTree(tuple(rec(child) for child in node.children))
-
-    return rec(marked.tree)
+    word = _word(marked.tree)
+    i = [j for j, degree in enumerate(word) if not degree][marked.mark]
+    word[i : i + 1] = [n] + [0] * n
+    return _tree_from_preorder(word)
 
 
 def root_decompose(tree: OrderedTree) -> list[OrderedTree]:
@@ -294,11 +310,3 @@ def root_decompose(tree: OrderedTree) -> list[OrderedTree]:
     if tree.is_leaf:
         raise ValueError("the single-node tree has no root subtrees")
     return list(tree.children)
-
-
-def _replace_node(tree: OrderedTree, path: Path, replacement: OrderedTree) -> OrderedTree:
-    if not path:
-        return replacement
-    children = list(tree.children)
-    children[path[0]] = _replace_node(children[path[0]], path[1:], replacement)
-    return OrderedTree(tuple(children))

@@ -97,6 +97,16 @@ def test_trees_listing(capsys):
     assert code == 0
     assert len(out.splitlines()) == 3
 
+    # a unary chain deeper than the recursion limit: one line of 2402 characters
+    deep = ["trees", "--type", "1200", "--max-enum-weight", "2000"]
+    code, out, _ = run(capsys, *deep)
+    assert code == 0
+    assert out == "(" * 1201 + ")" * 1201 + "\n"
+
+    code, out, _ = run(capsys, *deep, "--marked")
+    assert code == 0
+    assert out == "(" * 1200 + "*" + ")" * 1200 + "\n"
+
 
 def test_trees_single_node_type(capsys):
     code, out, _ = run(capsys, "trees", "--type", "")

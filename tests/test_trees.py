@@ -44,8 +44,20 @@ def test_parse_serialize_examples():
 
 
 def test_deep_chain_parses_without_recursion():
-    chain = OrderedTree.parse("(" * 3000 + ")" * 3000)
+    text = "(" * 3000 + ")" * 3000
+    chain = OrderedTree.parse(text)
     assert tree_type(chain) == V((2999,))
+    assert chain.serialize() == text
+
+    marked_text = "(" * 3000 + "*" + ")" * 3000
+    assert MarkedTree.parse(marked_text).serialize() == marked_text
+
+    n, marked = decompose_tree(chain)
+    assert (n, marked.serialize()) == (1, "(" * 2998 + "*" + ")" * 2998)
+    # compared as text: the dataclass-generated == recurses once per level
+    assert compose_tree(n, marked).serialize() == text
+
+    assert count_marked_trees(V((1200,))) == 1
 
 
 @given(random_trees)
