@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Print the per-grade coefficient totals of S and G.
+"""Print and check the per-grade coefficient totals of S and G.
 
 Summing a grade amounts to setting every t_n to a single t.  For S the
-totals are the Catalan numbers (trees with w edges, partitioned by type),
-so the table doubles as an end-to-end sanity check; the printed 'expected'
-column comes from the classical Catalan recurrence.  For G the totals come
-out as consecutive Catalan differences.
+totals are the Catalan numbers C_w (trees with w edges, partitioned by
+type); the printed 'expected' column comes from the classical Catalan
+recurrence.  For G they are the differences C_{w+1} - C_w, with G_0 = 1,
+as setting every t_n = t in S = 1 + (t_1 + t_2 + ...) G shows.  A row where
+either column disagrees is marked and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ def main() -> int:
     parser.add_argument("--max-weight", type=int, default=12, metavar="N")
     args = parser.parse_args()
     bound = args.max_weight
+    if bound < 0:
+        parser.error(f"--max-weight must be nonnegative, got {bound}")
 
     s, g = hyper_catalan_series(bound), geode_series(bound)
     s_sums = [0] * (bound + 1)
@@ -37,11 +40,13 @@ def main() -> int:
     for m, c in g.items():
         g_sums[m.edge_weight] += c
 
-    expected = catalan(bound + 1)
+    expected = catalan(bound + 2)
+    g_expected = [1] + [expected[w + 1] - expected[w] for w in range(1, bound + 1)]
     print(f"{'weight':>6} {'S grade sum':>14} {'expected':>14} {'G grade sum':>14}")
     mismatch = False
     for w in range(bound + 1):
-        marker = "" if s_sums[w] == expected[w] else "  <- MISMATCH"
+        good = s_sums[w] == expected[w] and g_sums[w] == g_expected[w]
+        marker = "" if good else "  <- MISMATCH"
         mismatch |= bool(marker)
         print(f"{w:>6} {s_sums[w]:>14} {expected[w]:>14} {g_sums[w]:>14}{marker}")
     return 1 if mismatch else 0

@@ -62,6 +62,10 @@ def main() -> int:
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args()
     scale = DeskScale(args.series_bound, args.tree_bound, args.subdigon_bound)
+    for name, bound in vars(args).items():
+        if name.endswith("_bound") and bound < 0:
+            flag = "--" + name.replace("_", "-")
+            parser.error(f"{flag} must be nonnegative, got {bound}")
     return run(scale, args.verbose)
 
 

@@ -235,6 +235,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         selected = list(VERIFY_CHECKS)
     else:
         selected = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not selected:
+            raise _UsageError("no checks selected")
         unknown = [c for c in selected if c not in VERIFY_CHECKS]
         if unknown:
             raise _UsageError(

@@ -1,7 +1,7 @@
 """Subdigons: polygon dissections with a distinguished roof edge.
 
 A subdigon is a polygon subdivided by noncrossing arcs, with one designated
-edge (the roof).  It is stored recursively: the central face (the one whose
+edge (the roof).  Its public view is nested: the central face (the one whose
 boundary contains the roof) has n >= 1 further edges, listed counterclockwise
 starting from the roof, and each such slot either is a boundary edge of the
 polygon (stored as None) or glues in the subdigon that lies behind an
@@ -15,6 +15,10 @@ children maps subdigons to ordered trees so that faces become internal
 nodes, external edges become leaves, and external faces become clawed nodes;
 the counterclockwise boundary walk becomes post-order traversal.
 
+Every walk over the nested slots is a loop, so depth is not limited by
+Python's recursion limit.  The structure maps go through the degree word of
+the tree image; enumeration and face deletion stay independent of trees.
+
 Text form mirrors trees: a face is "(" + slots + ")", a boundary slot is
 "()", and the trivial subdigon is "*e*".  A subdigon and its tree image
 therefore serialize identically except for the trivial case.
@@ -25,16 +29,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import Iterator
 
 from .hypercatalan import hyper_catalan
 from .reports import CheckGroup, Mismatch, VerificationReport
-from .series import TypeVector, enumerate_types
+from .series import TypeVector, enumerate_types, grading_key
 from .trees import (
-    LEAF,
     OrderedTree,
     Path,
+    Word,
     _mark_text,
     _parse_brackets,
+    _tree_from_preorder,
+    _word,
     compose_tree,
     decompose_tree,
     enumerate_marked_trees,
@@ -70,13 +77,7 @@ class Subdigon:
     def serialize(self) -> str:
         if self.is_trivial:
             return TRIVIAL_TEXT
-        return self._face_text()
-
-    def _face_text(self) -> str:
-        parts = [
-            "()" if slot is None else slot._face_text() for slot in self.slots
-        ]
-        return "(" + "".join(parts) + ")"
+        return subdigon_to_tree(self).serialize()
 
     @classmethod
     def parse(cls, text: str) -> Subdigon:
@@ -146,25 +147,35 @@ def subdigon_to_tree(sub: Subdigon) -> OrderedTree:
     Boundary edges turn into leaves and glued subdigons into subtrees, so
     types are preserved.
     """
-    if sub.is_trivial:
-        return LEAF
-    return OrderedTree(
-        tuple(
-            LEAF if slot is None else subdigon_to_tree(slot) for slot in sub.slots
-        )
-    )
+    return _tree_from_preorder(_slot_word(sub))
+
+
+def _slot_word(sub: Subdigon) -> Word:
+    """Degree word of the tree image: slot counts of faces, 0 per boundary edge."""
+    word: Word = []
+    stack: list[Subdigon | None] = [sub]
+    while stack:
+        face = stack.pop()
+        slots = () if face is None else face.slots
+        word.append(len(slots))
+        stack += slots[::-1]
+    return word
 
 
 def tree_to_subdigon(tree: OrderedTree) -> Subdigon:
     """Inverse structure map: glue a face of size n + 1 per n-child node."""
-    if tree.is_leaf:
-        return TRIVIAL
-    return Subdigon(
-        tuple(
-            None if child.is_leaf else tree_to_subdigon(child)
-            for child in tree.children
-        )
-    )
+    sub = _tree_from_preorder(_word(tree), Subdigon, None)
+    return TRIVIAL if sub is None else sub
+
+
+def _walk(sub: Subdigon) -> Iterator[tuple[Path, Subdigon | None]]:
+    """(path, slot) for the root and every slot below it, in preorder."""
+    stack: list[tuple[Path, Subdigon | None]] = [((), sub)]
+    while stack:
+        path, face = stack.pop()
+        yield path, face
+        if face is not None:
+            stack += [(path + (i,), slot) for i, slot in enumerate(face.slots)][::-1]
 
 
 def external_faces(sub: Subdigon) -> list[tuple[Path, Subdigon]]:
@@ -174,18 +185,12 @@ def external_faces(sub: Subdigon) -> list[tuple[Path, Subdigon]]:
     counterclockwise from the roof, and identified by slot paths.  The
     trivial subdigon has no face, hence no external face.
     """
-    out: list[tuple[Path, Subdigon]] = []
-
-    def rec(face: Subdigon, path: Path) -> None:
-        for i, slot in enumerate(face.slots):
-            if slot is not None:
-                rec(slot, path + (i,))
-        if all(slot is None for slot in face.slots):
-            out.append((path, face))
-
-    if not sub.is_trivial:
-        rec(sub, ())
-    return out
+    # external faces never nest, so preorder lists them in completion order
+    return [
+        (path, face)
+        for path, face in _walk(sub)
+        if face and face.slots and all(slot is None for slot in face.slots)
+    ]
 
 
 def external_edges_ccw(sub: Subdigon) -> list[Path]:
@@ -197,17 +202,7 @@ def external_edges_ccw(sub: Subdigon) -> list[Path]:
     """
     if sub.is_trivial:
         return [()]
-    out: list[Path] = []
-
-    def rec(face: Subdigon, path: Path) -> None:
-        for i, slot in enumerate(face.slots):
-            if slot is None:
-                out.append(path + (i,))
-            else:
-                rec(slot, path + (i,))
-
-    rec(sub, ())
-    return out
+    return [path for path, slot in _walk(sub) if slot is None]
 
 
 def count_initial_external_edges(sub: Subdigon) -> int:
@@ -242,6 +237,9 @@ def enumerate_subdigons(m: TypeVector) -> list[Subdigon]:
     distributing the remaining faces behind its n non-roof edges over all
     ordered type compositions.  Independent of the tree enumerator.
     """
+    # build the smaller types first, so every nested lookup is a cache hit
+    for part in sorted(_subvectors(m), key=grading_key):
+        _enumerate_subdigons_cached(part)
     return list(_enumerate_subdigons_cached(m))
 
 
@@ -265,14 +263,18 @@ def _enumerate_subdigons_cached(m: TypeVector) -> tuple[Subdigon, ...]:
 
 
 def _type_compositions(total: TypeVector, n: int) -> list[tuple[TypeVector, ...]]:
-    """All ordered n-tuples of type vectors summing to ``total``."""
-    if n == 1:
-        return [(total,)]
-    out = []
-    for head in _subvectors(total):
-        for tail in _type_compositions(total - head, n - 1):
-            out.append((head,) + tail)
-    return out
+    """All ordered n-tuples of type vectors summing to ``total``.
+
+    Lexicographic in the order of ``_subvectors``, position by position.
+    """
+    heads: list[tuple[tuple[TypeVector, ...], TypeVector]] = [((), total)]
+    for _ in range(n - 1):
+        heads = [
+            (prefix + (head,), rest - head)
+            for prefix, rest in heads
+            for head in _subvectors(rest)
+        ]
+    return [prefix + (rest,) for prefix, rest in heads]
 
 
 def _subvectors(v: TypeVector) -> list[TypeVector]:
@@ -318,24 +320,24 @@ def decompose_subdigon(sub: Subdigon) -> tuple[int, MarkedSubdigon]:
             break
         path.append(step)
         face = face.slots[step]
-    n = len(face.slots)
-    if not path:
-        return n, MarkedSubdigon(TRIVIAL, 0)
     # slots passed before each descent are all boundary edges, so the new
     # edge sits at counterclockwise position sum(path)
-    stripped = _replace_slot(sub, tuple(path), None)
-    return n, MarkedSubdigon(stripped, sum(path))
+    stripped = _replace_slot(sub, tuple(path), None) or TRIVIAL
+    return len(face.slots), MarkedSubdigon(stripped, sum(path))
 
 
 def _replace_slot(
-    face: Subdigon, path: Path, replacement: Subdigon | None
-) -> Subdigon:
-    slots = list(face.slots)
-    if len(path) == 1:
-        slots[path[0]] = replacement
-    else:
-        slots[path[0]] = _replace_slot(slots[path[0]], path[1:], replacement)
-    return Subdigon(tuple(slots))
+    sub: Subdigon, path: Path, replacement: Subdigon | None
+) -> Subdigon | None:
+    """Copy of sub with the slot at path replaced; the empty path replaces sub."""
+    faces = [sub]  # the faces down the path, each holding the next
+    for i in path[:-1]:
+        faces.append(faces[-1].slots[i])
+    for face, i in zip(reversed(faces), reversed(path)):
+        slots = list(face.slots)
+        slots[i] = replacement
+        replacement = Subdigon(tuple(slots))
+    return replacement
 
 
 def compose_subdigon(n: int, marked: MarkedSubdigon) -> Subdigon:
@@ -346,23 +348,8 @@ def compose_subdigon(n: int, marked: MarkedSubdigon) -> Subdigon:
     """
     if n < 1:
         raise ValueError(f"a face needs at least one non-roof edge, got n={n}")
-    new_face = Subdigon((None,) * n)
-    if marked.subdigon.is_trivial:
-        return new_face
-    seen = 0
-
-    def rec(face: Subdigon) -> Subdigon:
-        nonlocal seen
-        slots: list[Subdigon | None] = []
-        for slot in face.slots:
-            if slot is None:
-                slots.append(new_face if seen == marked.mark else None)
-                seen += 1
-            else:
-                slots.append(rec(slot))
-        return Subdigon(tuple(slots))
-
-    return rec(marked.subdigon)
+    edge = external_edges_ccw(marked.subdigon)[marked.mark]
+    return _replace_slot(marked.subdigon, edge, Subdigon((None,) * n))
 
 
 def verify_bijections(bound: int) -> VerificationReport:
@@ -386,18 +373,18 @@ def verify_bijections(bound: int) -> VerificationReport:
         trees = enumerate_trees(m)
         subs = enumerate_subdigons(m)
         expected = hyper_catalan(m)
+        tree_images = [tree_to_subdigon(t) for t in trees]
+        sub_images = [subdigon_to_tree(s) for s in subs]
 
         ok = sum(
             1
-            for t in trees
-            if subdigon_to_tree(tree_to_subdigon(t)) == t
-            and subdigon_type(tree_to_subdigon(t)) == m
+            for t, s in zip(trees, tree_images)
+            if subdigon_to_tree(s) == t and subdigon_type(s) == m
         )
         ok += sum(
             1
-            for s in subs
-            if tree_to_subdigon(subdigon_to_tree(s)) == s
-            and tree_type(subdigon_to_tree(s)) == m
+            for s, t in zip(subs, sub_images)
+            if tree_to_subdigon(t) == s and tree_type(t) == m
         )
         roundtrip.add(m, len(trees) + len(subs), ok)
 
@@ -443,9 +430,8 @@ def verify_bijections(bound: int) -> VerificationReport:
         )
 
         ok = 0
-        for s in subs:
-            n_tree, marked_tree = decompose_tree(subdigon_to_tree(s))
-            n_sub, marked_sub = decompose_subdigon(s)
+        for t, (n_sub, marked_sub) in zip(sub_images, sub_pairs):
+            n_tree, marked_tree = decompose_tree(t)
             if (
                 n_tree == n_sub
                 and marked_tree.tree == subdigon_to_tree(marked_sub.subdigon)

@@ -153,12 +153,17 @@ def _word(tree: OrderedTree) -> Word:
     return word
 
 
-def _tree_from_preorder(word: Word) -> OrderedTree:
-    """Inverse of _word: evaluate the word right to left as Polish notation."""
-    stack: list[OrderedTree] = []  # finished subtrees, the leftmost on top
+def _tree_from_preorder(
+    word: Word, make: Callable[[tuple], Node] = OrderedTree, leaf: Node = LEAF
+) -> Node:
+    """Inverse of _word: evaluate the word right to left as Polish notation.
+
+    A letter d > 0 is ``make`` of the d subtrees after it, a 0 is ``leaf``.
+    """
+    stack: list[Node] = []  # finished subtrees, the leftmost on top
     for degree in reversed(word):
         cut = len(stack) - degree
-        stack[cut:] = [OrderedTree(tuple(stack[cut:][::-1])) if degree else LEAF]
+        stack[cut:] = [make(tuple(stack[cut:][::-1])) if degree else leaf]
     return stack[0]
 
 

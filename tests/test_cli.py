@@ -169,6 +169,10 @@ def test_verify_rejects_unknown_checks(capsys):
     code, _, err = run(capsys, "verify", "--checks", "nonsense")
     assert code == 2
     assert "unknown checks" in err
+    for empty in [",", "", " , "]:
+        code, out, err = run(capsys, "verify", "--checks", empty)
+        assert (code, out) == (2, "")
+        assert "no checks selected" in err
 
 
 def test_verify_gates_enumeration_checks(capsys):

@@ -67,6 +67,25 @@ def test_deep_chain_parses_without_recursion():
     chain = Subdigon.parse("(" * 3000 + ")" * 3000)
     assert subdigon_type(chain) == V((2999,))
 
+    # a 3000-deep chain of bigons; compared by text, as == still recurses
+    text = "(" * 3000 + "()" + ")" * 3000
+    deep = Subdigon.parse(text)
+    assert deep.serialize() == text
+    tree = subdigon_to_tree(deep)
+    assert tree.serialize() == text
+    assert tree_to_subdigon(tree).serialize() == text
+    assert external_edges_ccw(deep) == [(0,) * 3000]
+    assert [(p, f.serialize()) for p, f in external_faces(deep)] == [
+        ((0,) * 2999, "(())")
+    ]
+    assert count_initial_external_edges(deep) == 1
+    n, marked = decompose_subdigon(deep)
+    assert (n, marked.mark) == (1, 0)
+    assert marked.serialize() == "(" * 2999 + "*" + ")" * 2999
+    assert compose_subdigon(n, marked).serialize() == text
+    assert count_marked_subdigons(V((1200,))) == 1
+    assert count_marked_subdigons(V.unit(1200)) == 1200
+
 
 def test_type_examples():
     assert subdigon_type(TRIVIAL) == V.zero()
