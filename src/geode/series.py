@@ -13,8 +13,9 @@ hence the name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import zip_longest
+from operator import add
 from typing import Iterator, Mapping
 
 
@@ -125,12 +126,18 @@ def enumerate_types(bound: int) -> list[TypeVector]:
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
+    return list(_graded_types(bound))
+
+
+@cache
+def _graded_types(bound: int) -> tuple[TypeVector, ...]:
+    """enumerate_types, built once per bound; a tuple, so callers cannot edit it."""
     out: list[TypeVector] = []
     for weight in range(bound + 1):
         grade = [TypeVector(v) for v in _multiplicity_vectors(weight)]
         grade.sort(key=grading_key)
         out.extend(grade)
-    return out
+    return tuple(out)
 
 
 def _multiplicity_vectors(weight: int) -> Iterator[tuple[int, ...]]:
@@ -159,6 +166,9 @@ class TruncatedSeries:
     absent monomials have coefficient zero, so the representation is a finite
     sparse map.  Coefficients are plain Python ints and therefore exact at
     any size.  Instances are immutable; all operations return new series.
+    A product buckets both factors by weight and visits only the grade pairs
+    whose weights sum to at most the bound, on plain entry tuples; the
+    result's monomials become ``TypeVector`` objects once, at the end.
 
     >>> t1 = TruncatedSeries.variable(1, bound=2)
     >>> print((TruncatedSeries.one(2) + t1) * (TruncatedSeries.one(2) + t1))
@@ -236,15 +246,29 @@ class TruncatedSeries:
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check_bound(other)
         bound = self.bound
-        product: dict[TypeVector, int] = {}
-        for ma, ca in self._coeffs.items():
-            wa = ma.edge_weight
-            for mb, cb in other._coeffs.items():
-                if wa + mb.edge_weight > bound:
+        right = other._grades()
+        product: dict[tuple[int, ...], int] = {}
+        for wa, terms_a in self._grades().items():
+            for wb, terms_b in right.items():
+                if wa + wb > bound:
                     continue
-                key = ma + mb
-                product[key] = product.get(key, 0) + ca * cb
-        return TruncatedSeries(bound, product)
+                for ea, ca in terms_a:
+                    for eb, cb in terms_b:
+                        # entrywise sum; one of the two tails is empty
+                        key = tuple(map(add, ea, eb)) + (ea[len(eb):] or eb[len(ea):])
+                        product[key] = product.get(key, 0) + ca * cb
+        return TruncatedSeries(bound, {TypeVector(k): c for k, c in product.items()})
+
+    def _grades(self) -> dict[int, list[tuple[tuple[int, ...], int]]]:
+        """(entries, coefficient) pairs bucketed by edge weight."""
+        grades: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        for monomial, value in self._coeffs.items():
+            grades.setdefault(monomial.edge_weight, []).append((monomial.entries, value))
+        return grades
+
+    def with_bound(self, bound: int) -> TruncatedSeries:
+        """The same coefficients under another bound; monomials above it are dropped."""
+        return TruncatedSeries(bound, self._coeffs)
 
     def power(self, exponent: int) -> TruncatedSeries:
         if exponent < 1:
@@ -275,9 +299,8 @@ def mismatches_between(
 ) -> list[tuple[TypeVector, int, int]]:
     """Monomials where the two series disagree, as (monomial, a-value, b-value)."""
     a._check_bound(b)
-    monomials = set(a.support()) | set(b.support())
     out = []
-    for m in sorted(monomials, key=grading_key):
+    for m in sorted(a._coeffs.keys() | b._coeffs.keys(), key=grading_key):
         ca, cb = a.coefficient(m), b.coefficient(m)
         if ca != cb:
             out.append((m, ca, cb))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -216,3 +217,20 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert err.endswith(
         "internal error: RecursionError: maximum recursion depth exceeded\n"
     )
+
+
+@pytest.mark.parametrize(
+    "bound, digest",
+    [
+        ("12", "320d53566f3c0948f597a585f82f1788f940e7064f06acfa6421314ec6d17611"),
+        ("13", "7cb1f39c3f357cdde609087ccb7024e14bed963dc8bb18fcdd6a0ad672fc7b6c"),
+        ("14", "cb69a02e7e7b1ddfb1d20fa81b9f0ac3016cf23b15125e8c7542442018054b37"),
+    ],
+)
+def test_verify_algebraic_json_golden_bytes(capsys, bound, digest):
+    code, out, _ = run(
+        capsys, "verify", "--checks", "functional-eq,factorization",
+        "--max-weight", bound, "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

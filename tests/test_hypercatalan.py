@@ -1,5 +1,8 @@
 import math
 
+import pytest
+
+import geode.hypercatalan
 from geode import (
     TruncatedSeries,
     TypeVector,
@@ -87,3 +90,21 @@ def test_functional_equation_weight_5():
 
 def test_functional_equation_every_bound_up_to_12():
     assert all(verify_functional_equation(w).passed for w in range(13))
+
+
+def test_functional_equation_bound_20():
+    assert verify_functional_equation(20).passed
+
+
+@pytest.mark.parametrize("corrupt", ["1", "0,1,2"])
+def test_functional_equation_detects_a_corrupted_coefficient(monkeypatch, corrupt):
+    # weight 1 feeds every power of S; weight 8 (the bound) reaches only the
+    # left-hand side, so truncating S^n at bound - n must not hide either
+    exact = geode.hypercatalan.hyper_catalan
+    bad = V.parse(corrupt)
+    monkeypatch.setattr(
+        geode.hypercatalan, "hyper_catalan", lambda m: exact(m) + (m == bad)
+    )
+    report = verify_functional_equation(8)
+    assert not report.passed
+    assert bad.text in [mm.monomial for mm in report.groups[0].mismatches]

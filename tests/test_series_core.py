@@ -177,6 +177,43 @@ def test_multiplication_is_graded(args):
     assert all(m.edge_weight <= bound for m in product.support())
 
 
+def all_pairs_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Every monomial pair multiplied out; the constructor drops what overshoots."""
+    product: dict[TypeVector, int] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            product[ma + mb] = product.get(ma + mb, 0) + ca * cb
+    return TruncatedSeries(a.bound, product)
+
+
+@given(st.integers(0, 6).flatmap(lambda w: st.tuples(bounded_series(w), bounded_series(w))))
+def test_mul_matches_all_pairs_oracle(pair):
+    a, b = pair
+    assert a * b == all_pairs_product(a, b)
+
+
+def test_mul_cancellation_mixed_lengths_and_exact_bound():
+    # (t1 - t2)(t1 + t2) = t1^2 - t2^2: the t1*t2 terms cancel, the operands'
+    # entries have lengths 1 and 2, and t2^2 lands exactly on the bound 4
+    a = TruncatedSeries(4, {V.unit(1): 1, V.unit(2): -1})
+    b = TruncatedSeries(4, {V.unit(1): 1, V.unit(2): 1})
+    product = a * b
+    assert product == all_pairs_product(a, b)
+    assert product.items() == [(V((2,)), 1), (V((0, 2)), -1)]
+
+
+def test_with_bound_drops_monomials_above_it():
+    s = TruncatedSeries(3, {V.zero(): 1, V((1,)): 2, V((0, 1)): 3, V((0, 0, 1)): 4})
+    assert s.with_bound(2) == TruncatedSeries(2, {V.zero(): 1, V((1,)): 2, V((0, 1)): 3})
+    assert s.with_bound(5).with_bound(3) == s
+
+
+def test_enumerate_types_returns_a_fresh_list():
+    types = enumerate_types(3)
+    types.clear()
+    assert len(enumerate_types(3)) == 7
+
+
 def test_sum_of_variables():
     s = sum_of_variables(3)
     assert s == TruncatedSeries(3, {V.unit(1): 1, V.unit(2): 1, V.unit(3): 1})
