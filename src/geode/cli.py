@@ -13,7 +13,7 @@ import io
 import json
 import sys
 import traceback
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .factorization import (
     geode_series,
@@ -21,9 +21,9 @@ from .factorization import (
     verify_marked_subdigons,
     verify_marked_trees,
 )
-from .hypercatalan import hyper_catalan, verify_functional_equation
+from .hypercatalan import _hyper_catalan_entries, verify_functional_equation
 from .reports import VerificationReport
-from .series import TypeVector, enumerate_types
+from .series import TypeVector, _graded_entries, enumerate_types
 from .subdigons import count_marked_subdigons, verify_bijections
 from .trees import count_marked_trees, enumerate_marked_trees, enumerate_trees
 
@@ -170,10 +170,12 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_s_table(args: argparse.Namespace) -> int:
     _require_nonnegative(args.max_weight, "--max-weight")
-    types = enumerate_types(args.max_weight)
+    entries = _graded_entries(args.max_weight)
     if args.no_bigons:
-        types = [m for m in types if not m.multiplicity(1)]
-    rows = [{"monomial": m.text, "coefficient": hyper_catalan(m)} for m in types]
+        entries = [e for e in entries if not e or not e[0]]
+    # no entry exceeds the bound, so each entry's text is made once
+    text_of = [str(i) for i in range(args.max_weight + 1)].__getitem__
+    rows = ((",".join(map(text_of, e)), _hyper_catalan_entries(e)) for e in entries)
     _emit_table(rows, ["monomial", "coefficient"], args.format)
     return 0
 
@@ -182,7 +184,7 @@ def _cmd_g_table(args: argparse.Namespace) -> int:
     _require_nonnegative(args.max_weight, "--max-weight")
     g = geode_series(args.max_weight)
     types = enumerate_types(args.max_weight)
-    rows = [{"monomial": m.text, "coefficient": g.coefficient(m)} for m in types]
+    rows = [(m.text, g.coefficient(m)) for m in types]
     columns = ["monomial", "coefficient"]
     if not args.with_counts:
         _emit_table(rows, columns, args.format)
@@ -194,13 +196,13 @@ def _cmd_g_table(args: argparse.Namespace) -> int:
             f"edge weight {args.max_enum_weight}; raise --max-enum-weight to force"
         )
     columns += ["marked_trees", "marked_subdigons"]
-    bad = []
-    for row, m in zip(rows, types):
+    counted, bad = [], []
+    for (text, value), m in zip(rows, types):
         mt, ms = count_marked_trees(m), count_marked_subdigons(m)
-        row.update(marked_trees=mt, marked_subdigons=ms)
-        if not row["coefficient"] == mt == ms:
-            bad.append(row["monomial"])
-    _emit_table(rows, columns, args.format)
+        counted.append((text, value, mt, ms))
+        if not value == mt == ms:
+            bad.append(text)
+    _emit_table(counted, columns, args.format)
     if bad:
         print(
             "count mismatch at monomials: " + ", ".join(f"[{b}]" for b in bad),
@@ -276,13 +278,13 @@ def _require_nonnegative(value: int, flag: str) -> None:
         raise _UsageError(f"{flag} must be nonnegative, got {value}")
 
 
-def _emit_table(rows: list[dict], columns: list[str], fmt: str) -> None:
+def _emit_table(rows: Iterable[tuple], columns: list[str], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(rows, indent=2))
+        print(json.dumps([dict(zip(columns, row)) for row in rows], indent=2))
         return
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
     writer.writerows(rows)
     sys.stdout.write(buffer.getvalue())
 

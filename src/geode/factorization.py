@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
-from .hypercatalan import hyper_catalan, hyper_catalan_series
+from .hypercatalan import _hyper_catalan_entries, hyper_catalan_series
 from .reports import CheckGroup, Mismatch, VerificationReport
 from .series import (
     TruncatedSeries,
@@ -48,37 +48,40 @@ class NegativeGeodeCoefficientError(ArithmeticError):
 def geode_series(bound: int) -> TruncatedSeries:
     """G truncated at the given edge weight, solved from the factorization."""
     order = enumerate_types(bound)
-    e1 = TypeVector.unit(1)
-    targets = {k: hyper_catalan(k + e1) for k in order}
+    lifted = ((k, (k.multiplicity(1) + 1, *k.entries[1:])) for k in order)
+    targets = {k: _hyper_catalan_entries(e) for k, e in lifted}  # C(k + e_1)
     return solve_factorization(bound, targets, order)
 
 
 def solve_factorization(
-    bound: int,
-    targets: Mapping[TypeVector, int],
-    order: Iterable[TypeVector],
+    bound: int, targets: Mapping[TypeVector, int], order: Iterable[TypeVector]
 ) -> TruncatedSeries:
     """Run the recurrence with explicit targets C(k + e_1) and processing order.
 
     Any order that never visits a vector before all vectors of strictly
     smaller edge weight is valid; the solution cannot depend on the choice.
     Exposed separately so that reorderings and corrupted targets can be
-    exercised directly.
+    exercised directly.  Inside, the recurrence is keyed by entry tuples;
+    ``TypeVector`` objects are only the keys of the targets and the result.
     """
-    e1 = TypeVector.unit(1)
-    coeffs: dict[TypeVector, int] = {}
-    for k in order:
-        value = targets[k]
-        lifted = k + e1
-        for n in range(2, len(lifted.entries) + 1):
-            if lifted.multiplicity(n):
-                value -= coeffs[lifted - TypeVector.unit(n)]
+    coeffs: dict[tuple[int, ...], int] = {}
+    solved: dict[TypeVector, int] = {}
+    for m in order:
+        k = m.entries
+        value = targets[m]
+        for i in range(1, len(k)):
+            if k[i]:
+                # k + e_1 - e_(i+1) without trailing zeros; its first entry is >= 1
+                term = (k[0] + 1, *k[1:i], k[i] - 1, *k[i + 1 :])
+                while not term[-1]:
+                    term = term[:-1]
+                value -= coeffs[term]
         if value < 0:
             raise NegativeGeodeCoefficientError(
-                f"coefficient of t^[{k.text}] came out {value}"
+                f"coefficient of t^[{m.text}] came out {value}"
             )
-        coeffs[k] = value
-    return TruncatedSeries(bound, coeffs)
+        coeffs[k] = solved[m] = value
+    return TruncatedSeries(bound, solved)
 
 
 def verify_factorization(bound: int) -> VerificationReport:

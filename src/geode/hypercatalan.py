@@ -14,23 +14,24 @@ satisfying S = 1 + sum_{n >= 1} t_n S^n.
 
 from __future__ import annotations
 
-import math
-from functools import cache
+from itertools import count
+from math import factorial, prod
+from operator import mul
 
 from .reports import CheckGroup, Mismatch, VerificationReport
 from .series import TruncatedSeries, TypeVector, enumerate_types, mismatches_between
 
-# One shared factorial cache: table builds evaluate the formula over every
-# monomial of a grade, re-hitting the same small arguments constantly.
-_factorial = cache(math.factorial)
-
 
 def hyper_catalan(m: TypeVector) -> int:
     """The exact hyper-Catalan number C(m); grows factorially with the weight."""
-    denominator = _factorial(m.leaf_count)
-    for e in m.entries:
-        denominator *= _factorial(e)
-    return _factorial(m.edge_weight) // denominator
+    return _hyper_catalan_entries(m.entries)
+
+
+def _hyper_catalan_entries(entries: tuple[int, ...]) -> int:
+    """C(m) from the entry tuple of m: edges! / (leaves! * product of m_n!)."""
+    edges = sum(map(mul, entries, count(1)))
+    leaves = 1 + edges - sum(entries)
+    return factorial(edges) // (factorial(leaves) * prod(map(factorial, entries)))
 
 
 def hyper_catalan_series(bound: int) -> TruncatedSeries:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import zip_longest
-from operator import add
-from typing import Iterator, Mapping
+from itertools import count, zip_longest
+from operator import add, mul
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class TypeVector:
 
     @property
     def text(self) -> str:
-        return ",".join(str(e) for e in self.entries)
+        return ",".join(map(str, self.entries))
 
     def __str__(self) -> str:
         return self.text
@@ -84,7 +84,7 @@ class TypeVector:
     @cached_property
     def edge_weight(self) -> int:
         """Sum of n * m_n; the number of edges of a tree of this type."""
-        return sum((i + 1) * e for i, e in enumerate(self.entries))
+        return sum(map(mul, self.entries, count(1)))
 
     @property
     def leaf_count(self) -> int:
@@ -122,7 +122,7 @@ def enumerate_types(bound: int) -> list[TypeVector]:
 
     The grade of weight w is in bijection with the integer partitions of w
     (m_n = multiplicity of the part n), so the list grows by p(w) entries per
-    grade.
+    grade; the loop generator ``_graded_entries`` emits them in this order.
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
@@ -132,31 +132,39 @@ def enumerate_types(bound: int) -> list[TypeVector]:
 @cache
 def _graded_types(bound: int) -> tuple[TypeVector, ...]:
     """enumerate_types, built once per bound; a tuple, so callers cannot edit it."""
-    out: list[TypeVector] = []
-    for weight in range(bound + 1):
-        grade = [TypeVector(v) for v in _multiplicity_vectors(weight)]
-        grade.sort(key=grading_key)
-        out.extend(grade)
+    return tuple(map(TypeVector, _graded_entries(bound)))
+
+
+@cache
+def _graded_entries(bound: int) -> tuple[tuple[int, ...], ...]:
+    """Entry tuples of every vector of weight <= bound, in graded order.
+
+    A loop over m_1 from w down to 0, then m_2, and so on: descending
+    lexicographic order, the tie-break of ``grading_key``.  A remainder r that
+    the next part n cannot cover (r < n) is skipped; below 2 n it is one part.
+
+    >>> _graded_entries(4)[7:]
+    ((4,), (2, 1), (1, 0, 1), (0, 2), (0, 0, 0, 1))
+    """
+    out: list[tuple[int, ...]] = [()]
+    for weight in range(1, bound + 1):
+        chosen, r = [weight], 0  # m_1, m_2, ... and the weight left uncovered
+        while chosen:
+            n = len(chosen) + 1  # the next part
+            if r >= 2 * n:
+                chosen.append(r // n)
+                r %= n
+                continue
+            if r == 0:
+                out.append(tuple(chosen))
+            elif r >= n:
+                out.append((*chosen, *(0,) * (r - n), 1))
+            while chosen and not chosen[-1]:  # lower the last m_n; drop spent ones
+                chosen.pop()
+            if chosen:
+                chosen[-1] -= 1
+                r += len(chosen)
     return tuple(out)
-
-
-def _multiplicity_vectors(weight: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of ``weight`` encoded as part-multiplicity tuples."""
-    if weight == 0:
-        yield ()
-        return
-
-    def rec(remaining: int, max_part: int, parts: list[int]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            largest = parts[0]
-            yield tuple(parts.count(n) for n in range(1, largest + 1))
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            parts.append(part)
-            yield from rec(remaining - part, part, parts)
-            parts.pop()
-
-    yield from rec(weight, weight, [])
 
 
 class TruncatedSeries:

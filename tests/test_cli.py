@@ -234,3 +234,24 @@ def test_verify_algebraic_json_golden_bytes(capsys, bound, digest):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("s-table --max-weight 16",
+         "32bcb59a653188cd1978447a73d311dabdc0f319dfcca0fcda8334a43ec8a955"),
+        ("s-table --max-weight 16 --no-bigons",
+         "945097378b9605e0dec6c36b791964c57d7805c931c713d523c9687d0f68f598"),
+        ("g-table --max-weight 16",
+         "041f4567666d309dc8e78b219aa6cafe2899328f95675521296b2c692b9a2910"),
+        ("g-table --max-weight 14 --format json",
+         "b4b8cbc33c6b161ab894f35eff597ae30c51ed492d736c2a66478bdf0e8e1eca"),
+        ("s-table --max-weight 0 --format json",
+         "bf82698b67d623b898652e5a6e13a85eb0ddf30635deee460413fd7507061293"),
+    ],
+)
+def test_table_golden_bytes(capsys, argv, digest):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,3 +1,7 @@
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -223,3 +227,27 @@ def test_mismatch_listing():
     a = TruncatedSeries(2, {V.zero(): 1, V((1,)): 2})
     b = TruncatedSeries(2, {V.zero(): 1, V((1,)): 3, V((0, 1)): 1})
     assert mismatches_between(a, b) == [(V((1,)), 2, 3), (V((0, 1)), 0, 1)]
+
+
+@pytest.mark.parametrize("module", ["series", "factorization"])
+def test_no_function_calls_itself(module):
+    # every walk in these modules is a loop, so no bound can exhaust the stack
+    path = Path(importlib.import_module(f"geode.{module}").__file__)
+    recursive = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            direct = isinstance(f, ast.Name) and f.id == node.name
+            method = (
+                isinstance(f, ast.Attribute)
+                and f.attr == node.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("self", "cls")
+            )
+            if direct or method:
+                recursive.append(f"{node.name} (line {call.lineno})")
+    assert recursive == []
