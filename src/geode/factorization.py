@@ -61,27 +61,27 @@ def solve_factorization(
     Any order that never visits a vector before all vectors of strictly
     smaller edge weight is valid; the solution cannot depend on the choice.
     Exposed separately so that reorderings and corrupted targets can be
-    exercised directly.  Inside, the recurrence is keyed by entry tuples;
-    ``TypeVector`` objects are only the keys of the targets and the result.
+    exercised directly; an order that breaks the rule raises ``ValueError``.
+    The solution is filled grade by grade on entry tuples: the term
+    k + e_1 - e_(i+1) has weight weight(k) - i, so it is read from that grade.
     """
-    coeffs: dict[tuple[int, ...], int] = {}
-    solved: dict[TypeVector, int] = {}
+    grades: dict[int, dict[tuple[int, ...], int]] = {}
     for m in order:
-        k = m.entries
-        value = targets[m]
-        for i in range(1, len(k)):
-            if k[i]:
-                # k + e_1 - e_(i+1) without trailing zeros; its first entry is >= 1
-                term = (k[0] + 1, *k[1:i], k[i] - 1, *k[i + 1 :])
-                while not term[-1]:
-                    term = term[:-1]
-                value -= coeffs[term]
+        k, weight, value = m.entries, m.edge_weight, targets[m]
+        try:
+            for i in range(1, len(k)):
+                if k[i]:
+                    # k + e_1 - e_(i+1) without trailing zeros; its first entry is >= 1
+                    term = (k[0] + 1, *k[1:i], k[i] - 1, *k[i + 1 :])
+                    while not term[-1]:
+                        term = term[:-1]
+                    value -= grades[weight - i][term]
+        except KeyError:
+            raise ValueError(f"order visits t^[{m.text}] before a lighter monomial") from None
         if value < 0:
-            raise NegativeGeodeCoefficientError(
-                f"coefficient of t^[{m.text}] came out {value}"
-            )
-        coeffs[k] = solved[m] = value
-    return TruncatedSeries(bound, solved)
+            raise NegativeGeodeCoefficientError(f"coefficient of t^[{m.text}] came out {value}")
+        grades.setdefault(weight, {})[k] = value
+    return TruncatedSeries._from_grades(bound, grades)
 
 
 def verify_factorization(bound: int) -> VerificationReport:

@@ -18,6 +18,8 @@ from itertools import count, zip_longest
 from operator import add, mul
 from typing import Mapping
 
+_Grades = dict[int, dict[tuple[int, ...], int]]  # weight -> {entries: coefficient}
+
 
 @dataclass(frozen=True)
 class TypeVector:
@@ -170,31 +172,38 @@ def _graded_entries(bound: int) -> tuple[tuple[int, ...], ...]:
 class TruncatedSeries:
     """Formal power series with integer coefficients, truncated at a fixed weight.
 
-    Monomials of weight above the bound are discarded by every operation and
-    absent monomials have coefficient zero, so the representation is a finite
-    sparse map.  Coefficients are plain Python ints and therefore exact at
-    any size.  Instances are immutable; all operations return new series.
-    A product buckets both factors by weight and visits only the grade pairs
-    whose weights sum to at most the bound, on plain entry tuples; the
-    result's monomials become ``TypeVector`` objects once, at the end.
+    Monomials of weight above the bound are discarded by every operation.
+    Coefficients are plain Python ints and therefore exact at any size.
+    Instances are immutable; all operations return new series.  A series is
+    stored by grade, weight -> {entry tuple: coefficient}, with no zero
+    coefficient and no empty grade.  Arithmetic stays on those tuples, and a
+    product visits only the grade pairs whose weights sum to at most the
+    bound; ``TypeVector`` objects appear only where monomials enter or leave.
 
     >>> t1 = TruncatedSeries.variable(1, bound=2)
     >>> print((TruncatedSeries.one(2) + t1) * (TruncatedSeries.one(2) + t1))
     1 + 2*t1 + t1^2
     """
 
-    __slots__ = ("bound", "_coeffs")
+    __slots__ = ("bound", "_grades")
 
     def __init__(self, bound: int, coeffs: Mapping[TypeVector, int] | None = None):
         if bound < 0:
             raise ValueError(f"bound must be nonnegative, got {bound}")
-        data: dict[TypeVector, int] = {}
-        if coeffs:
-            for monomial, value in coeffs.items():
-                if value != 0 and monomial.edge_weight <= bound:
-                    data[monomial] = value
+        grades: _Grades = {}
+        for m, value in (coeffs or {}).items():
+            if value != 0 and m.edge_weight <= bound:
+                grades.setdefault(m.edge_weight, {})[m.entries] = value
         object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "_coeffs", data)
+        object.__setattr__(self, "_grades", grades)
+
+    @classmethod
+    def _from_grades(cls, bound: int, grades: _Grades) -> TruncatedSeries:
+        """A series from trusted grades, less zeros, empty grades and grades above bound."""
+        series = cls(bound)
+        nonzero = ((w, {e: c for e, c in t.items() if c}) for w, t in grades.items())
+        object.__setattr__(series, "_grades", {w: t for w, t in nonzero if t and w <= bound})
+        return series
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TruncatedSeries is immutable")
@@ -213,70 +222,71 @@ class TruncatedSeries:
         return cls(bound, {TypeVector.unit(n): 1})
 
     def coefficient(self, monomial: TypeVector) -> int:
-        return self._coeffs.get(monomial, 0)
+        return self._grades.get(monomial.edge_weight, {}).get(monomial.entries, 0)
 
     def items(self) -> list[tuple[TypeVector, int]]:
         """Nonzero (monomial, coefficient) pairs in graded order."""
-        return sorted(self._coeffs.items(), key=lambda kv: grading_key(kv[0]))
+        # trimmed tuples of one weight are never prefixes: reverse order is grading_key's
+        return [
+            (TypeVector(e), c)
+            for w in sorted(self._grades)
+            for e, c in sorted(self._grades[w].items(), reverse=True)
+        ]
 
     def support(self) -> list[TypeVector]:
         return [m for m, _ in self.items()]
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return sum(map(len, self._grades.values()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.bound == other.bound and self._coeffs == other._coeffs
+        return self.bound == other.bound and self._grades == other._grades
 
     def __hash__(self) -> int:
-        return hash((self.bound, frozenset(self._coeffs.items())))
+        terms = (term for grade in self._grades.values() for term in grade.items())
+        return hash((self.bound, frozenset(terms)))
 
     def _check_bound(self, other: TruncatedSeries) -> None:
         if self.bound != other.bound:
             raise ValueError(f"bound mismatch: {self.bound} vs {other.bound}")
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        self._check_bound(other)
-        total = dict(self._coeffs)
-        for monomial, value in other._coeffs.items():
-            total[monomial] = total.get(monomial, 0) + value
-        return TruncatedSeries(self.bound, total)
+        return self._combine(other, 1)
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
+        return self._combine(other, -1)
+
+    def _combine(self, other: TruncatedSeries, sign: int) -> TruncatedSeries:
+        """self + sign * other, grade by grade."""
         self._check_bound(other)
-        total = dict(self._coeffs)
-        for monomial, value in other._coeffs.items():
-            total[monomial] = total.get(monomial, 0) - value
-        return TruncatedSeries(self.bound, total)
+        total = {w: dict(terms) for w, terms in self._grades.items()}
+        for w, terms in other._grades.items():
+            grade = total.setdefault(w, {})
+            for e, c in terms.items():
+                grade[e] = grade.get(e, 0) + sign * c
+        return TruncatedSeries._from_grades(self.bound, total)
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         self._check_bound(other)
         bound = self.bound
-        right = other._grades()
-        product: dict[tuple[int, ...], int] = {}
-        for wa, terms_a in self._grades().items():
-            for wb, terms_b in right.items():
+        product: _Grades = {}
+        for wa, terms_a in self._grades.items():
+            for wb, terms_b in other._grades.items():
                 if wa + wb > bound:
                     continue
-                for ea, ca in terms_a:
-                    for eb, cb in terms_b:
+                grade = product.setdefault(wa + wb, {})
+                for ea, ca in terms_a.items():
+                    for eb, cb in terms_b.items():
                         # entrywise sum; one of the two tails is empty
                         key = tuple(map(add, ea, eb)) + (ea[len(eb):] or eb[len(ea):])
-                        product[key] = product.get(key, 0) + ca * cb
-        return TruncatedSeries(bound, {TypeVector(k): c for k, c in product.items()})
-
-    def _grades(self) -> dict[int, list[tuple[tuple[int, ...], int]]]:
-        """(entries, coefficient) pairs bucketed by edge weight."""
-        grades: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-        for monomial, value in self._coeffs.items():
-            grades.setdefault(monomial.edge_weight, []).append((monomial.entries, value))
-        return grades
+                        grade[key] = grade.get(key, 0) + ca * cb
+        return TruncatedSeries._from_grades(bound, product)
 
     def with_bound(self, bound: int) -> TruncatedSeries:
         """The same coefficients under another bound; monomials above it are dropped."""
-        return TruncatedSeries(bound, self._coeffs)
+        return TruncatedSeries._from_grades(bound, self._grades)
 
     def power(self, exponent: int) -> TruncatedSeries:
         if exponent < 1:
@@ -287,9 +297,7 @@ class TruncatedSeries:
         return result
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        return " + ".join(_format_term(m, c) for m, c in self.items())
+        return " + ".join(_format_term(m, c) for m, c in self.items()) or "0"
 
     def __repr__(self) -> str:
         return f"<TruncatedSeries bound={self.bound}: {self}>"
@@ -297,22 +305,14 @@ class TruncatedSeries:
 
 def sum_of_variables(bound: int) -> TruncatedSeries:
     """t_1 + t_2 + ... + t_bound, the cofactor of the Geode in S - 1."""
-    return TruncatedSeries(
-        bound, {TypeVector.unit(n): 1 for n in range(1, bound + 1)}
-    )
+    return TruncatedSeries(bound, {TypeVector.unit(n): 1 for n in range(1, bound + 1)})
 
 
 def mismatches_between(
     a: TruncatedSeries, b: TruncatedSeries
 ) -> list[tuple[TypeVector, int, int]]:
-    """Monomials where the two series disagree, as (monomial, a-value, b-value)."""
-    a._check_bound(b)
-    out = []
-    for m in sorted(a._coeffs.keys() | b._coeffs.keys(), key=grading_key):
-        ca, cb = a.coefficient(m), b.coefficient(m)
-        if ca != cb:
-            out.append((m, ca, cb))
-    return out
+    """Where the series disagree, as (monomial, a-value, b-value): the support of a - b."""
+    return [(m, a.coefficient(m), b.coefficient(m)) for m in (a - b).support()]
 
 
 def _format_term(monomial: TypeVector, value: int) -> str:

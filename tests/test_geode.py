@@ -87,6 +87,16 @@ def test_solution_is_independent_of_the_processing_order():
     assert solve_factorization(bound, targets, reordered) == default
 
 
+def test_order_visiting_a_vector_too_early_is_a_value_error():
+    # reversed, t_4 comes first, before the t_1 its recurrence term needs
+    bound = 4
+    types = enumerate_types(bound)
+    e1 = V.unit(1)
+    targets = {k: hyper_catalan(k + e1) for k in types}
+    with pytest.raises(ValueError, match=r"t\^\[0,0,0,1\]"):
+        solve_factorization(bound, targets, reversed(types))
+
+
 def test_corrupted_targets_raise_on_negative_coefficient():
     bound = 3
     types = enumerate_types(bound)

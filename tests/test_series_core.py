@@ -206,6 +206,41 @@ def test_mul_cancellation_mixed_lengths_and_exact_bound():
     assert product.items() == [(V((2,)), 1), (V((0, 2)), -1)]
 
 
+def test_arithmetic_builds_no_type_vector(monkeypatch):
+    a = TruncatedSeries(4, {V.zero(): 1, V((1,)): 2, V((0, 1)): -1, V((1, 0, 1)): 3})
+    b = TruncatedSeries(4, {V((1,)): -2, V((2, 1)): 5, V((0, 0, 0, 1)): 1})
+    built = []
+    post_init = TypeVector.__post_init__
+
+    def counting(self):
+        built.append(self.entries)
+        post_init(self)
+
+    monkeypatch.setattr(TypeVector, "__post_init__", counting)
+    a + b, a - b, a * b, a.with_bound(2)
+    assert built == []
+    a.items()  # the API boundary does build them, so the counter is live
+    assert len(built) == len(a)
+
+
+def mismatches_oracle(a: TruncatedSeries, b: TruncatedSeries) -> list:
+    """The union of both supports in graded order, where the coefficients differ."""
+    ca, cb = dict(a.items()), dict(b.items())
+    union = sorted(ca.keys() | cb.keys(), key=grading_key)
+    return [(m, ca.get(m, 0), cb.get(m, 0)) for m in union if ca.get(m, 0) != cb.get(m, 0)]
+
+
+@given(st.integers(0, 5).flatmap(lambda w: st.tuples(bounded_series(w), bounded_series(w))))
+def test_mismatches_hash_and_len(pair):
+    a, b = pair
+    assert mismatches_between(a, b) == mismatches_oracle(a, b)
+    assert hash(a * b) == hash(b * a)
+    assert hash((a + b) - b) == hash(a)
+    for cancelled in (a - b, (a + b) - a):
+        assert len(cancelled) == len(cancelled.items())
+    assert len((a + b) - a) == len(b)
+
+
 def test_with_bound_drops_monomials_above_it():
     s = TruncatedSeries(3, {V.zero(): 1, V((1,)): 2, V((0, 1)): 3, V((0, 0, 1)): 4})
     assert s.with_bound(2) == TruncatedSeries(2, {V.zero(): 1, V((1,)): 2, V((0, 1)): 3})
