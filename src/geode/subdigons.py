@@ -1,7 +1,7 @@
 """Subdigons: polygon dissections with a distinguished roof edge.
 
 A subdigon is a polygon subdivided by noncrossing arcs, with one designated
-edge (the roof).  Its public view is nested: the central face (the one whose
+edge (the roof).  It is stored nested: the central face (the one whose
 boundary contains the roof) has n >= 1 further edges, listed counterclockwise
 starting from the roof, and each such slot either is a boundary edge of the
 polygon (stored as None) or glues in the subdigon that lies behind an
@@ -16,8 +16,9 @@ nodes, external edges become leaves, and external faces become clawed nodes;
 the counterclockwise boundary walk becomes post-order traversal.
 
 Every walk over the nested slots is a loop, so depth is not limited by
-Python's recursion limit.  The structure maps go through the degree word of
-the tree image; enumeration and face deletion stay independent of trees.
+Python's recursion limit.  The structure maps write and read the degree word
+a tree stores (``tree.word``), and subdigons compare and hash by the word of
+their tree image; enumeration and face deletion stay independent of trees.
 
 Text form mirrors trees: a face is "(" + slots + ")", a boundary slot is
 "()", and the trivial subdigon is "*e*".  A subdigon and its tree image
@@ -40,8 +41,6 @@ from .trees import (
     Word,
     _mark_text,
     _parse_brackets,
-    _tree_from_preorder,
-    _word,
     compose_tree,
     decompose_tree,
     enumerate_marked_trees,
@@ -52,7 +51,7 @@ from .trees import (
 TRIVIAL_TEXT = "*e*"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subdigon:
     """Either the trivial lone roofed edge (no slots) or a central face.
 
@@ -70,6 +69,12 @@ class Subdigon:
                     "a glued slot must hold a face; boundary edges are None"
                 )
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Subdigon) and _slot_word(self) == _slot_word(other)
+
+    def __hash__(self) -> int:
+        return hash(_slot_word(self))
+
     @property
     def is_trivial(self) -> bool:
         return not self.slots
@@ -83,16 +88,14 @@ class Subdigon:
     def parse(cls, text: str) -> Subdigon:
         if text == TRIVIAL_TEXT:
             return cls()
-        sub, marks = _parse_brackets(
-            text, lambda slots: Subdigon(slots) if slots else None
-        )
+        word, marks = _parse_brackets(text)
         if marks:
             raise ValueError(f"unexpected '*' in unmarked text {text!r}")
-        if sub is None:
+        if word == (0,):
             raise ValueError(
                 f"{text!r} is a bare boundary edge; the trivial subdigon is {TRIVIAL_TEXT!r}"
             )
-        return sub
+        return tree_to_subdigon(OrderedTree._from_word(word))
 
     def __repr__(self) -> str:
         return f"Subdigon.parse({self.serialize()!r})"
@@ -147,25 +150,29 @@ def subdigon_to_tree(sub: Subdigon) -> OrderedTree:
     Boundary edges turn into leaves and glued subdigons into subtrees, so
     types are preserved.
     """
-    return _tree_from_preorder(_slot_word(sub))
+    return OrderedTree._from_word(_slot_word(sub))
 
 
 def _slot_word(sub: Subdigon) -> Word:
     """Degree word of the tree image: slot counts of faces, 0 per boundary edge."""
-    word: Word = []
+    word: list[int] = []
     stack: list[Subdigon | None] = [sub]
     while stack:
         face = stack.pop()
         slots = () if face is None else face.slots
         word.append(len(slots))
         stack += slots[::-1]
-    return word
+    return tuple(word)
 
 
 def tree_to_subdigon(tree: OrderedTree) -> Subdigon:
     """Inverse structure map: glue a face of size n + 1 per n-child node."""
-    sub = _tree_from_preorder(_word(tree), Subdigon, None)
-    return TRIVIAL if sub is None else sub
+    # the word read right to left as Polish notation; a 0 is a boundary edge
+    stack: list[Subdigon | None] = []  # finished slots, the leftmost on top
+    for degree in reversed(tree.word):
+        cut = len(stack) - degree
+        stack[cut:] = [Subdigon(tuple(stack[cut:][::-1])) if degree else None]
+    return stack[0] or TRIVIAL
 
 
 def _walk(sub: Subdigon) -> Iterator[tuple[Path, Subdigon | None]]:
@@ -215,19 +222,25 @@ def count_initial_external_edges(sub: Subdigon) -> int:
     """
     if sub.is_trivial:
         return 1
-    count = 0
-    face = sub
+    path, face = _first_external_face(sub)
+    return sum(path) + len(face.slots)
+
+
+def _first_external_face(face: Subdigon) -> tuple[list[int], Subdigon]:
+    """Slot path and face of the first external face met from the roof.
+
+    Each descent enters a face's first glued slot, so the slots passed are
+    boundary edges: sum(path) of them precede the face counterclockwise.
+    """
+    path: list[int] = []
     while True:
-        descend = None
-        for slot in face.slots:
-            if slot is None:
-                count += 1
-            else:
-                descend = slot
+        for i, slot in enumerate(face.slots):
+            if slot is not None:
+                path.append(i)
+                face = slot
                 break
-        if descend is None:
-            return count
-        face = descend
+        else:
+            return path, face
 
 
 def enumerate_subdigons(m: TypeVector) -> list[Subdigon]:
@@ -310,18 +323,7 @@ def decompose_subdigon(sub: Subdigon) -> tuple[int, MarkedSubdigon]:
     """
     if sub.is_trivial:
         raise ValueError("the trivial subdigon has no face to delete")
-    path: list[int] = []
-    face = sub
-    while True:
-        step = next(
-            (i for i, slot in enumerate(face.slots) if slot is not None), None
-        )
-        if step is None:
-            break
-        path.append(step)
-        face = face.slots[step]
-    # slots passed before each descent are all boundary edges, so the new
-    # edge sits at counterclockwise position sum(path)
+    path, face = _first_external_face(sub)
     stripped = _replace_slot(sub, tuple(path), None) or TRIVIAL
     return len(face.slots), MarkedSubdigon(stripped, sum(path))
 

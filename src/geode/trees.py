@@ -5,11 +5,12 @@ Its type is the vector m with m_n = number of nodes having exactly n
 children (the downdegree sequence), so a tree of type m has edge_weight(m)
 edges and leaf_count(m) leaves.
 
-Internally a tree is its preorder degree word (Lukasiewicz code): the child
-counts of its nodes in preorder, so "(()(()()))" is [2, 0, 2, 0, 0].
-`enumerate_trees` and `count_marked_trees` run over words, and
-`count_initial_leaves`, `decompose_tree` and `compose_tree` scan and splice
-them.  `OrderedTree` is the nested public view, walked by loops only.
+A tree is stored as its preorder degree word (Lukasiewicz code), the child
+counts of its nodes in preorder, read-only as ``tree.word``; so trees compare
+and hash as flat tuples at any depth, and every walk is a loop over words:
+
+>>> OrderedTree.parse("(()(()()))").word == (2, 0, 2, 0, 0)
+True
 
 Text form: a leaf is "()" and an internal node wraps the forms of its
 children, e.g. "(()())" is a root with two leaf children.  A marked tree
@@ -19,42 +20,56 @@ renders its marked leaf as "*".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from itertools import chain
+from typing import Iterator
 
 from .series import TypeVector
 
 Path = tuple[int, ...]
-Node = TypeVar("Node")
-Word = list[int]
+Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class OrderedTree:
-    children: tuple[OrderedTree, ...] = ()
+    word: Word
+
+    def __init__(self, children: tuple[OrderedTree, ...] = ()) -> None:
+        word = (len(children), *chain.from_iterable(child.word for child in children))
+        object.__setattr__(self, "word", word)
+
+    @classmethod
+    def _from_word(cls, word: Word) -> OrderedTree:
+        """Trusted constructor: wrap a valid preorder degree word as is."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "word", word)
+        return tree
+
+    @property
+    def children(self) -> tuple[OrderedTree, ...]:
+        return tuple(node for path, node in post_order(self) if len(path) == 1)
 
     @property
     def is_leaf(self) -> bool:
-        return not self.children
+        return not self.word[0]
 
     def serialize(self) -> str:
         parts: list[str] = []
-        stack: list[OrderedTree | None] = [self]  # None closes a node
-        while stack:
-            node = stack.pop()
-            if node is None:
+        pending = [-1]  # children not yet closed, per open node, over a sentinel
+        for degree in self.word:
+            parts.append("(")
+            pending.append(degree)
+            while not pending[-1]:  # close every node this letter finishes
+                pending.pop()
                 parts.append(")")
-            else:
-                parts.append("(")
-                stack.append(None)
-                stack += node.children[::-1]
+                pending[-1] -= 1
         return "".join(parts)
 
     @classmethod
     def parse(cls, text: str) -> OrderedTree:
-        tree, marks = _parse_brackets(text, OrderedTree)
+        word, marks = _parse_brackets(text)
         if marks:
             raise ValueError(f"unexpected '*' in unmarked text {text!r}")
-        return tree
+        return cls._from_word(word)
 
     def __repr__(self) -> str:
         return f"OrderedTree.parse({self.serialize()!r})"
@@ -63,38 +78,38 @@ class OrderedTree:
 LEAF = OrderedTree()
 
 
-def _parse_brackets(
-    text: str, make: Callable[[tuple], Node]
-) -> tuple[Node, list[int]]:
+def _parse_brackets(text: str) -> tuple[Word, list[int]]:
     """Scan the bracket grammar shared by trees and subdigons, without recursion.
 
-    A node is "(" + its children + ")" and is built by ``make(children)``;
-    "*" is a childless node standing for a marked leaf.  Returns the root and
-    the post-order leaf positions of every "*", so callers that take no mark
-    reject a non-empty list.
+    A node is "(" + its children + ")"; "*" is a childless node standing for
+    a marked leaf.  Returns the preorder degree word and the post-order leaf
+    positions of every "*", so callers that take no mark reject a non-empty
+    list.
     """
-    stack: list[list[Node]] = [[]]
+    word: list[int] = []
+    open_nodes: list[int] = []  # preorder index of each unclosed "("
     marks: list[int] = []
     leaves = 0
     for pos, char in enumerate(text):
-        if len(stack) == 1 and stack[0]:
+        if word and not open_nodes:
             raise ValueError(f"trailing input after position {pos} in {text!r}")
-        if char == "(":
-            stack.append([])
-        elif char == ")" and len(stack) > 1:
-            children = stack.pop()
-            if not children:
+        if char == "(" or char == "*":
+            if open_nodes:
+                word[open_nodes[-1]] += 1
+            if char == "(":
+                open_nodes.append(len(word))
+            else:
+                marks.append(leaves)
                 leaves += 1
-            stack[-1].append(make(tuple(children)))
-        elif char == "*":
-            marks.append(leaves)
-            leaves += 1
-            stack[-1].append(make(()))
+            word.append(0)
+        elif char == ")" and open_nodes:
+            if not word[open_nodes.pop()]:
+                leaves += 1
         else:
             raise ValueError(f"unexpected {char!r} at position {pos} in {text!r}")
-    if len(stack) > 1 or not stack[0]:
+    if open_nodes or not word:
         raise ValueError(f"unbalanced or empty bracket text {text!r}")
-    return stack[0][0], marks
+    return tuple(word), marks
 
 
 def _mark_text(text: str, mark: int) -> str:
@@ -127,10 +142,10 @@ class MarkedTree:
 
     @classmethod
     def parse(cls, text: str) -> MarkedTree:
-        tree, marks = _parse_brackets(text, OrderedTree)
+        word, marks = _parse_brackets(text)
         if len(marks) != 1:
             raise ValueError(f"expected exactly one '*' in {text!r}, found {len(marks)}")
-        return cls(tree, marks[0])
+        return cls(OrderedTree._from_word(word), marks[0])
 
     def __repr__(self) -> str:
         return f"MarkedTree.parse({self.serialize()!r})"
@@ -138,33 +153,7 @@ class MarkedTree:
 
 def tree_type(tree: OrderedTree) -> TypeVector:
     """Downdegree counts: entry n is the number of nodes with n children."""
-    word = _word(tree)
-    return TypeVector(tuple(word.count(n) for n in range(1, max(word) + 1)))
-
-
-def _word(tree: OrderedTree) -> Word:
-    """The preorder degree word of a tree."""
-    word: Word = []
-    stack = [tree]
-    while stack:
-        children = stack.pop().children
-        word.append(len(children))
-        stack += children[::-1]
-    return word
-
-
-def _tree_from_preorder(
-    word: Word, make: Callable[[tuple], Node] = OrderedTree, leaf: Node = LEAF
-) -> Node:
-    """Inverse of _word: evaluate the word right to left as Polish notation.
-
-    A letter d > 0 is ``make`` of the d subtrees after it, a 0 is ``leaf``.
-    """
-    stack: list[Node] = []  # finished subtrees, the leftmost on top
-    for degree in reversed(word):
-        cut = len(stack) - degree
-        stack[cut:] = [make(tuple(stack[cut:][::-1])) if degree else leaf]
-    return stack[0]
+    return TypeVector(tuple(tree.word.count(n) for n in range(1, max(tree.word) + 1)))
 
 
 def _words(m: TypeVector) -> Iterator[Word]:
@@ -172,17 +161,17 @@ def _words(m: TypeVector) -> Iterator[Word]:
 
     A word spends m_n letters n and one 0 per leaf, and is admissible iff
     each proper prefix leaves a child slot open (the root has one; a letter
-    d fills one and opens d).  Backtracks in a loop; yields fresh lists.
+    d fills one and opens d).  Backtracks in a loop.
     """
     counts = [m.leaf_count, *m.entries]  # letters still to place, by degree
     internal = m.node_count - m.leaf_count
     slots = 1  # open child slots after the prefix
-    word: Word = []
+    word: list[int] = []
     d = 0  # the next letter to try after the prefix
     while True:
         if not internal:
             # only leaves remain, and they fill the open slots exactly
-            yield word + [0] * counts[0]
+            yield tuple(word) + (0,) * counts[0]
         elif d < len(counts):
             # an internal node is still to come, so a leaf must not close
             # the last open slot; the slots never outnumber the leaves left
@@ -206,7 +195,26 @@ def enumerate_trees(m: TypeVector) -> list[OrderedTree]:
 
     Trees come in ascending lexicographic order of their degree words.
     """
-    return [_tree_from_preorder(word) for word in _words(m)]
+    return [OrderedTree._from_word(word) for word in _words(m)]
+
+
+def _spans(word: Word) -> Iterator[tuple[list[int], int, int]]:
+    """(path, start, end) per node in post-order, word[start:end] being its subtree.
+
+    One preorder scan emits each node when its last letter is read; the path
+    is one live list, valid until the next step.
+    """
+    path: list[int] = []
+    open_nodes: list[list[int]] = []  # [start, children not yet begun]
+    for i, degree in enumerate(word):
+        if open_nodes:
+            parent = open_nodes[-1]
+            path.append(word[parent[0]] - parent[1])
+            parent[1] -= 1
+        open_nodes.append([i, degree])
+        while open_nodes and not open_nodes[-1][1]:
+            yield path, open_nodes.pop()[0], i + 1
+            del path[-1:]
 
 
 def post_order(tree: OrderedTree) -> list[tuple[Path, OrderedTree]]:
@@ -216,22 +224,17 @@ def post_order(tree: OrderedTree) -> list[tuple[Path, OrderedTree]]:
     left-to-right order.  Paths are child-index sequences from the root;
     they keep positions distinct even when equal subtrees repeat.
     """
-    # the reverse of a preorder walk that visits children right to left
-    out: list[tuple[Path, OrderedTree]] = []
-    stack: list[tuple[Path, OrderedTree]] = [((), tree)]
-    while stack:
-        path, node = stack.pop()
-        out.append((path, node))
-        stack += [(path + (i,), child) for i, child in enumerate(node.children)]
-    return out[::-1]
+    word = tree.word
+    return [(tuple(p), OrderedTree._from_word(word[s:e])) for p, s, e in _spans(word)]
 
 
 def clawed_nodes(tree: OrderedTree) -> list[tuple[Path, OrderedTree]]:
     """Internal nodes whose children are all leaves, in post-order position."""
+    word = tree.word
     return [
-        (path, node)
-        for path, node in post_order(tree)
-        if node.children and all(child.is_leaf for child in node.children)
+        (tuple(path), OrderedTree._from_word(word[start:end]))
+        for path, start, end in _spans(word)
+        if end - start == word[start] + 1 > 1
     ]
 
 
@@ -259,7 +262,7 @@ def count_initial_leaves(tree: OrderedTree) -> int:
 
     The single-node tree has no internal node at all, so its one leaf counts.
     """
-    return _initial_leaves(_word(tree))
+    return _initial_leaves(tree.word)
 
 
 def count_marked_trees(m: TypeVector) -> int:
@@ -271,11 +274,11 @@ def count_marked_trees(m: TypeVector) -> int:
 
 
 def enumerate_marked_trees(m: TypeVector) -> list[MarkedTree]:
-    out: list[MarkedTree] = []
-    for word in _words(m):
-        tree = _tree_from_preorder(word)
-        out += (MarkedTree(tree, mark) for mark in range(_initial_leaves(word)))
-    return out
+    return [
+        MarkedTree(tree, mark)
+        for tree in enumerate_trees(m)
+        for mark in range(count_initial_leaves(tree))
+    ]
 
 
 def decompose_tree(tree: OrderedTree) -> tuple[int, MarkedTree]:
@@ -286,23 +289,22 @@ def decompose_tree(tree: OrderedTree) -> tuple[int, MarkedTree]:
     this realizes the bijection between trees of type m and pairs
     (n, marked tree of type m - e_n) behind S = 1 + (t_1 + t_2 + ...) G.
     """
-    word = _word(tree)
+    word = tree.word
     i = _first_claw(word)
     if i is None:
         raise ValueError("the single-node tree has no clawed node to strip")
     n = word[i]
-    word[i : i + 1 + n] = [0]
-    return n, MarkedTree(_tree_from_preorder(word), word[:i].count(0))
+    stripped = OrderedTree._from_word(word[:i] + (0,) + word[i + 1 + n :])
+    return n, MarkedTree(stripped, word[:i].count(0))
 
 
 def compose_tree(n: int, marked: MarkedTree) -> OrderedTree:
     """Attach n leaf children to the marked leaf; inverse of decompose_tree."""
     if n < 1:
         raise ValueError(f"child count must be positive, got {n}")
-    word = _word(marked.tree)
+    word = marked.tree.word
     i = [j for j, degree in enumerate(word) if not degree][marked.mark]
-    word[i : i + 1] = [n] + [0] * n
-    return _tree_from_preorder(word)
+    return OrderedTree._from_word(word[:i] + (n,) + (0,) * n + word[i + 1 :])
 
 
 def root_decompose(tree: OrderedTree) -> list[OrderedTree]:

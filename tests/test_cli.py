@@ -255,3 +255,23 @@ def test_table_golden_bytes(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("trees --type 4,2,0,1 --max-enum-weight 12",
+         "9f7cb582b25f1fc6d87d3cecd54996d4c1e7fc86c23b98cb3a2cf39fffb65805"),
+        ("trees --type 4,2,0,1 --max-enum-weight 12 --marked",
+         "f09423d1c7a6efe8b8d724420a4bb4b238505f12b9f7d5b0d5d2db98996de4dc"),
+        ("verify --checks all --max-weight 8",
+         "79a2cb2b0e4d5ee1a8c570aa3923c7ba438e6039c507ccc2d992b277361fadde"),
+        ("g-table --max-weight 8 --with-counts",
+         "e8e6caa98cae4085eaa4a5de4a467500193bea56e65365fd273073210f251812"),
+    ],
+)
+def test_enumeration_golden_bytes(capsys, argv, digest):
+    # listings, bijection checks and counted columns all go through tree words
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

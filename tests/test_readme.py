@@ -2,6 +2,7 @@ import doctest
 from pathlib import Path
 
 import geode.series
+import geode.trees
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,6 +14,7 @@ def test_readme_library_examples():
 
 
 def test_series_module_doctests():
-    result = doctest.testmod(geode.series)
-    assert result.attempted > 0
-    assert result.failed == 0
+    for module in (geode.series, geode.trees):
+        result = doctest.testmod(module)
+        assert result.attempted > 0, module.__name__
+        assert result.failed == 0, module.__name__

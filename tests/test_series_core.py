@@ -264,7 +264,7 @@ def test_mismatch_listing():
     assert mismatches_between(a, b) == [(V((1,)), 2, 3), (V((0, 1)), 0, 1)]
 
 
-@pytest.mark.parametrize("module", ["series", "factorization"])
+@pytest.mark.parametrize("module", ["series", "factorization", "trees"])
 def test_no_function_calls_itself(module):
     # every walk in these modules is a loop, so no bound can exhaust the stack
     path = Path(importlib.import_module(f"geode.{module}").__file__)

@@ -54,10 +54,21 @@ def test_deep_chain_parses_without_recursion():
 
     n, marked = decompose_tree(chain)
     assert (n, marked.serialize()) == (1, "(" * 2998 + "*" + ")" * 2998)
-    # compared as text: the dataclass-generated == recurses once per level
+    assert marked == MarkedTree.parse("(" * 2998 + "*" + ")" * 2998)
     assert compose_tree(n, marked).serialize() == text
+    assert compose_tree(n, marked) == chain
 
     assert count_marked_trees(V((1200,))) == 1
+
+
+def test_deep_chains_compare_and_hash():
+    text = "(" * 3000 + ")" * 3000
+    a, b = OrderedTree.parse(text), OrderedTree.parse(text)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # the same depth, differing only at the bottom
+    assert a != OrderedTree.parse("(" * 2999 + "()()" + ")" * 2999)
 
 
 @given(random_trees)
@@ -93,6 +104,12 @@ def test_enumeration_matches_generate_and_filter_oracle():
 def test_enumeration_is_deterministic():
     m = V((1, 2))
     assert enumerate_trees(m) == enumerate_trees(m)
+
+
+def test_enumeration_is_in_ascending_word_order():
+    for m in enumerate_types(7):
+        words = [t.word for t in enumerate_trees(m)]
+        assert all(u < v for u, v in zip(words, words[1:]))
 
 
 def test_post_order_examples():
