@@ -8,11 +8,7 @@ byte-for-byte for fixed flags.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
-import traceback
 from typing import Callable, Iterable, Sequence
 
 from .factorization import (
@@ -55,6 +51,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except Exception as exc:
         # keep the traceback, but never let a crash exit 1 like a mismatch
+        import traceback
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
@@ -260,6 +257,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
     reports = [runners[name](args.max_weight) for name in selected]
     if args.format == "json":
+        import json
         payload = {
             "bound": args.max_weight,
             "passed": all(r.passed for r in reports),
@@ -280,8 +278,11 @@ def _require_nonnegative(value: int, flag: str) -> None:
 
 def _emit_table(rows: Iterable[tuple], columns: list[str], fmt: str) -> None:
     if fmt == "json":
+        import json
         print(json.dumps([dict(zip(columns, row)) for row in rows], indent=2))
         return
+    import csv
+    import io
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)

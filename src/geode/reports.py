@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     """One failed equality, keyed by the monomial (canonical text form)."""
 
     monomial: str
@@ -14,8 +13,7 @@ class Mismatch:
     actual: int
 
 
-@dataclass(frozen=True)
-class CheckGroup:
+class CheckGroup(NamedTuple):
     label: str
     checked: int
     mismatches: tuple[Mismatch, ...] = ()
@@ -25,8 +23,7 @@ class CheckGroup:
         return not self.mismatches
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one verification run, split into labelled check groups.
 
     A failed verification is still a report; callers decide whether to treat

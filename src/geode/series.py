@@ -12,16 +12,14 @@ hence the name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import count, zip_longest
 from operator import add, mul
-from typing import Mapping
+from typing import Iterable, Mapping
 
 _Grades = dict[int, dict[tuple[int, ...], int]]  # weight -> {entries: coefficient}
 
 
-@dataclass(frozen=True)
 class TypeVector:
     """Exponent vector m = (m_1, m_2, ..., m_k), stored without trailing zeros.
 
@@ -31,15 +29,27 @@ class TypeVector:
     the empty string denoting the zero vector, e.g. "2,3,2,1".
     """
 
-    entries: tuple[int, ...] = ()
+    entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
+    def __init__(self, entries: Iterable[int] = ()) -> None:
+        entries = tuple(entries)
         if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in entries):
             raise ValueError(f"entries must be nonnegative integers, got {entries!r}")
-        while entries and entries[-1] == 0:
-            entries = entries[:-1]
-        object.__setattr__(self, "entries", entries)
+        end = len(entries)
+        while end and not entries[end - 1]:
+            end -= 1
+        object.__setattr__(self, "entries", entries[:end])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("TypeVector is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TypeVector):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
 
     @classmethod
     def zero(cls) -> TypeVector:

@@ -27,7 +27,6 @@ therefore serialize identically except for the trivial case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterator
@@ -51,7 +50,6 @@ from .trees import (
 TRIVIAL_TEXT = "*e*"
 
 
-@dataclass(frozen=True, eq=False)
 class Subdigon:
     """Either the trivial lone roofed edge (no slots) or a central face.
 
@@ -60,17 +58,21 @@ class Subdigon:
     representation canonical.
     """
 
-    slots: tuple[Subdigon | None, ...] = ()
+    slots: tuple[Subdigon | None, ...]
 
-    def __post_init__(self) -> None:
-        for slot in self.slots:
+    def __init__(self, slots: tuple[Subdigon | None, ...] = ()) -> None:
+        for slot in slots:
             if slot is not None and slot.is_trivial:
-                raise ValueError(
-                    "a glued slot must hold a face; boundary edges are None"
-                )
+                raise ValueError("a glued slot must hold a face; boundary edges are None")
+        object.__setattr__(self, "slots", slots)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Subdigon is immutable")
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Subdigon) and _slot_word(self) == _slot_word(other)
+        if not isinstance(other, Subdigon):
+            return NotImplemented
+        return _slot_word(self) == _slot_word(other)
 
     def __hash__(self) -> int:
         return hash(_slot_word(self))
@@ -104,7 +106,6 @@ class Subdigon:
 TRIVIAL = Subdigon()
 
 
-@dataclass(frozen=True)
 class MarkedSubdigon:
     """A subdigon with one marked external edge.
 
@@ -116,12 +117,26 @@ class MarkedSubdigon:
     subdigon: Subdigon
     mark: int
 
-    def __post_init__(self) -> None:
-        limit = count_initial_external_edges(self.subdigon)
-        if not 0 <= self.mark < limit:
-            raise ValueError(
-                f"mark {self.mark} lies beyond the first external face (limit {limit})"
-            )
+    def __init__(self, subdigon: Subdigon, mark: int) -> None:
+        limit = count_initial_external_edges(subdigon)
+        if not 0 <= mark < limit:
+            raise ValueError(f"mark {mark} lies beyond the first external face (limit {limit})")
+        object.__setattr__(self, "subdigon", subdigon)
+        object.__setattr__(self, "mark", mark)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("MarkedSubdigon is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MarkedSubdigon):
+            return NotImplemented
+        return self.subdigon == other.subdigon and self.mark == other.mark
+
+    def __hash__(self) -> int:
+        return hash((self.subdigon, self.mark))
+
+    def __repr__(self) -> str:
+        return f"MarkedSubdigon(subdigon={self.subdigon!r}, mark={self.mark!r})"
 
     def serialize(self) -> str:
         if self.subdigon.is_trivial:

@@ -19,7 +19,6 @@ renders its marked leaf as "*".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
 
@@ -29,13 +28,28 @@ Path = tuple[int, ...]
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True, init=False, slots=True)
 class OrderedTree:
+    __slots__ = ("word",)
     word: Word
 
     def __init__(self, children: tuple[OrderedTree, ...] = ()) -> None:
         word = (len(children), *chain.from_iterable(child.word for child in children))
         object.__setattr__(self, "word", word)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("OrderedTree is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OrderedTree):
+            return NotImplemented
+        return self.word == other.word
+
+    def __hash__(self) -> int:
+        return hash(self.word)
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle would restore the slot through __setattr__
+        return OrderedTree._from_word, (self.word,)
 
     @classmethod
     def _from_word(cls, word: Word) -> OrderedTree:
@@ -119,7 +133,6 @@ def _mark_text(text: str, mark: int) -> str:
     return "()".join(pieces[:-1]) + "*" + pieces[-1]
 
 
-@dataclass(frozen=True)
 class MarkedTree:
     """A tree with one marked leaf, identified by its post-order position.
 
@@ -130,12 +143,23 @@ class MarkedTree:
     tree: OrderedTree
     mark: int
 
-    def __post_init__(self) -> None:
-        limit = count_initial_leaves(self.tree)
-        if not 0 <= self.mark < limit:
-            raise ValueError(
-                f"mark {self.mark} is not an initial leaf position (limit {limit})"
-            )
+    def __init__(self, tree: OrderedTree, mark: int) -> None:
+        limit = count_initial_leaves(tree)
+        if not 0 <= mark < limit:
+            raise ValueError(f"mark {mark} is not an initial leaf position (limit {limit})")
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "mark", mark)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("MarkedTree is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MarkedTree):
+            return NotImplemented
+        return self.tree == other.tree and self.mark == other.mark
+
+    def __hash__(self) -> int:
+        return hash((self.tree, self.mark))
 
     def serialize(self) -> str:
         return _mark_text(self.tree.serialize(), self.mark)

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import geode
 from geode import cli
 from geode.cli import main
 
@@ -115,6 +120,14 @@ def test_trees_single_node_type(capsys):
     assert out == "()\n"
 
 
+def test_trees_type_with_many_trailing_zeros(capsys):
+    code, out, _ = run(
+        capsys, "trees", "--type", "1," + "0," * 99_999 + "0", "--max-enum-weight", "2"
+    )
+    assert code == 0
+    assert out == "(())\n"
+
+
 def test_trees_usage_errors(capsys):
     code, _, err = run(capsys, "trees", "--type", "1,x")
     assert code == 2
@@ -203,6 +216,23 @@ def test_bad_flags_exit_2(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "nonnegative" in err
+
+
+def test_import_loads_only_what_every_command_needs():
+    # a fresh child, with -S so that site's .pth imports stay out of sys.modules
+    code = (
+        "import geode.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect', 'json', 'csv', 'traceback'} & set(sys.modules)))"
+    )
+    src = str(Path(geode.__file__).resolve().parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert child.stdout == "[]\n"
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
