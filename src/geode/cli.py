@@ -179,6 +179,11 @@ def _cmd_s_table(args: argparse.Namespace) -> int:
 
 def _cmd_g_table(args: argparse.Namespace) -> int:
     _require_nonnegative(args.max_weight, "--max-weight")
+    if args.with_counts and args.max_weight > args.max_enum_weight:
+        raise _UsageError(
+            f"--with-counts enumerates every tree and subdigon, refusing above "
+            f"edge weight {args.max_enum_weight}; raise --max-enum-weight to force"
+        )
     g = geode_series(args.max_weight)
     types = enumerate_types(args.max_weight)
     rows = [(m.text, g.coefficient(m)) for m in types]
@@ -186,12 +191,6 @@ def _cmd_g_table(args: argparse.Namespace) -> int:
     if not args.with_counts:
         _emit_table(rows, columns, args.format)
         return 0
-
-    if args.max_weight > args.max_enum_weight:
-        raise _UsageError(
-            f"--with-counts enumerates every tree and subdigon, refusing above "
-            f"edge weight {args.max_enum_weight}; raise --max-enum-weight to force"
-        )
     columns += ["marked_trees", "marked_subdigons"]
     counted, bad = [], []
     for (text, value), m in zip(rows, types):

@@ -14,13 +14,34 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from itertools import count, zip_longest
-from operator import add, mul
+from operator import add, attrgetter, mul
 from typing import Iterable, Mapping
 
 _Grades = dict[int, dict[tuple[int, ...], int]]  # weight -> {entries: coefficient}
 
 
-class TypeVector:
+class _Value:
+    """Immutable value: setting any attribute raises, and equality and hash go by ``_key``.
+
+    A subclass sets its fields with ``object.__setattr__`` and names its ``_key``;
+    values of different classes never compare equal.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+
+class TypeVector(_Value):
     """Exponent vector m = (m_1, m_2, ..., m_k), stored without trailing zeros.
 
     The same object serves as the *type* of an ordered tree (m_n = number of
@@ -40,16 +61,7 @@ class TypeVector:
             end -= 1
         object.__setattr__(self, "entries", entries[:end])
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TypeVector is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TypeVector):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
+    _key = property(attrgetter("entries"))
 
     @classmethod
     def zero(cls) -> TypeVector:
@@ -179,7 +191,7 @@ def _graded_entries(bound: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Value):
     """Formal power series with integer coefficients, truncated at a fixed weight.
 
     Monomials of weight above the bound are discarded by every operation.
@@ -214,9 +226,6 @@ class TruncatedSeries:
         nonzero = ((w, {e: c for e, c in t.items() if c}) for w, t in grades.items())
         object.__setattr__(series, "_grades", {w: t for w, t in nonzero if t and w <= bound})
         return series
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
     def zero(cls, bound: int) -> TruncatedSeries:

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import attrgetter
 from typing import Iterator
 
 from .hypercatalan import hyper_catalan
 from .reports import CheckGroup, Mismatch, VerificationReport
-from .series import TypeVector, enumerate_types, grading_key
+from .series import TypeVector, _Value, enumerate_types, grading_key
 from .trees import (
     OrderedTree,
     Path,
@@ -50,7 +51,19 @@ from .trees import (
 TRIVIAL_TEXT = "*e*"
 
 
-class Subdigon:
+def _slot_word(sub: Subdigon) -> Word:
+    """Degree word of the tree image: slot counts of faces, 0 per boundary edge."""
+    word: list[int] = []
+    stack: list[Subdigon | None] = [sub]
+    while stack:
+        face = stack.pop()
+        slots = () if face is None else face.slots
+        word.append(len(slots))
+        stack += slots[::-1]
+    return tuple(word)
+
+
+class Subdigon(_Value):
     """Either the trivial lone roofed edge (no slots) or a central face.
 
     Glued slots must themselves contain a face; a lone edge behind an arc
@@ -66,16 +79,7 @@ class Subdigon:
                 raise ValueError("a glued slot must hold a face; boundary edges are None")
         object.__setattr__(self, "slots", slots)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Subdigon is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subdigon):
-            return NotImplemented
-        return _slot_word(self) == _slot_word(other)
-
-    def __hash__(self) -> int:
-        return hash(_slot_word(self))
+    _key = property(_slot_word)
 
     @property
     def is_trivial(self) -> bool:
@@ -106,7 +110,7 @@ class Subdigon:
 TRIVIAL = Subdigon()
 
 
-class MarkedSubdigon:
+class MarkedSubdigon(_Value):
     """A subdigon with one marked external edge.
 
     The mark indexes the counterclockwise order of external edges from the
@@ -124,16 +128,7 @@ class MarkedSubdigon:
         object.__setattr__(self, "subdigon", subdigon)
         object.__setattr__(self, "mark", mark)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MarkedSubdigon is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MarkedSubdigon):
-            return NotImplemented
-        return self.subdigon == other.subdigon and self.mark == other.mark
-
-    def __hash__(self) -> int:
-        return hash((self.subdigon, self.mark))
+    _key = property(attrgetter("subdigon", "mark"))
 
     def __repr__(self) -> str:
         return f"MarkedSubdigon(subdigon={self.subdigon!r}, mark={self.mark!r})"
@@ -166,18 +161,6 @@ def subdigon_to_tree(sub: Subdigon) -> OrderedTree:
     types are preserved.
     """
     return OrderedTree._from_word(_slot_word(sub))
-
-
-def _slot_word(sub: Subdigon) -> Word:
-    """Degree word of the tree image: slot counts of faces, 0 per boundary edge."""
-    word: list[int] = []
-    stack: list[Subdigon | None] = [sub]
-    while stack:
-        face = stack.pop()
-        slots = () if face is None else face.slots
-        word.append(len(slots))
-        stack += slots[::-1]
-    return tuple(word)
 
 
 def tree_to_subdigon(tree: OrderedTree) -> Subdigon:

@@ -20,15 +20,16 @@ renders its marked leaf as "*".
 from __future__ import annotations
 
 from itertools import chain
+from operator import attrgetter
 from typing import Iterator
 
-from .series import TypeVector
+from .series import TypeVector, _Value
 
 Path = tuple[int, ...]
 Word = tuple[int, ...]
 
 
-class OrderedTree:
+class OrderedTree(_Value):
     __slots__ = ("word",)
     word: Word
 
@@ -36,16 +37,7 @@ class OrderedTree:
         word = (len(children), *chain.from_iterable(child.word for child in children))
         object.__setattr__(self, "word", word)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("OrderedTree is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrderedTree):
-            return NotImplemented
-        return self.word == other.word
-
-    def __hash__(self) -> int:
-        return hash(self.word)
+    _key = property(attrgetter("word"))
 
     def __reduce__(self) -> tuple:
         # copy and pickle would restore the slot through __setattr__
@@ -133,7 +125,7 @@ def _mark_text(text: str, mark: int) -> str:
     return "()".join(pieces[:-1]) + "*" + pieces[-1]
 
 
-class MarkedTree:
+class MarkedTree(_Value):
     """A tree with one marked leaf, identified by its post-order position.
 
     Only *initial* leaves are markable: the marked leaf must be visited
@@ -150,16 +142,7 @@ class MarkedTree:
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "mark", mark)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MarkedTree is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MarkedTree):
-            return NotImplemented
-        return self.tree == other.tree and self.mark == other.mark
-
-    def __hash__(self) -> int:
-        return hash((self.tree, self.mark))
+    _key = property(attrgetter("tree", "mark"))
 
     def serialize(self) -> str:
         return _mark_text(self.tree.serialize(), self.mark)

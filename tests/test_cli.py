@@ -90,6 +90,17 @@ def test_g_table_with_counts_refuses_beyond_enum_bound(capsys):
     assert code == 2
 
 
+def test_g_table_refuses_counts_before_building_g(capsys, monkeypatch):
+    def unreachable(bound):
+        raise AssertionError("geode_series ran before the --with-counts gate")
+
+    monkeypatch.setattr(cli, "geode_series", unreachable)
+    code, out, err = run(capsys, "g-table", "--max-weight", "34", "--with-counts")
+    assert code == 2
+    assert out == ""
+    assert "refusing" in err
+
+
 def test_trees_listing(capsys):
     code, out, _ = run(capsys, "trees", "--type", "0,1")
     assert code == 0

@@ -260,6 +260,17 @@ def test_sum_of_variables():
     assert s == TruncatedSeries(3, {V.unit(1): 1, V.unit(2): 1, V.unit(3): 1})
 
 
+def test_series_are_immutable():
+    def build():
+        return TruncatedSeries(2, {V.zero(): 1, V((1,)): 2, V((0, 1)): 3})
+
+    s = build()
+    for field in ("bound", "_grades", "x"):
+        with pytest.raises(AttributeError):
+            setattr(s, field, 0)
+    assert s == build()
+
+
 def test_mismatch_listing():
     a = TruncatedSeries(2, {V.zero(): 1, V((1,)): 2})
     b = TruncatedSeries(2, {V.zero(): 1, V((1,)): 3, V((0, 1)): 1})
@@ -288,3 +299,20 @@ def test_no_function_calls_itself(module):
             if direct or method:
                 recursive.append(f"{node.name} (line {call.lineno})")
     assert recursive == []
+
+
+def test_value_contract_is_written_once():
+    # only _Value sets the contract; TruncatedSeries compares its dict grades itself
+    owners = {"__setattr__": set(), "__eq__": set(), "__hash__": set()}
+    for path in Path(importlib.import_module("geode").__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name in owners:
+                    owners[item.name].add(node.name)
+    assert owners == {
+        "__setattr__": {"_Value"},
+        "__eq__": {"_Value", "TruncatedSeries"},
+        "__hash__": {"_Value", "TruncatedSeries"},
+    }
