@@ -76,15 +76,21 @@ class TypeVector(_Value):
 
     @classmethod
     def parse(cls, text: str) -> TypeVector:
-        """Inverse of ``text``; accepts non-canonical input like "0,1,0"."""
+        """Inverse of ``text``; accepts non-canonical input like "0,1,0".
+
+        Each entry is ASCII decimal digits, optionally padded with whitespace;
+        ``int`` alone would also take "1_0", "+1", "-0" and non-ASCII digits.
+        """
         stripped = text.strip()
         if not stripped:
             return cls.zero()
+        parts = [part.strip() for part in stripped.split(",")]
         try:
-            entries = tuple(int(part) for part in stripped.split(","))
-        except ValueError:
-            raise ValueError(f"not a comma-separated integer vector: {text!r}") from None
-        return cls(entries)
+            if all(part.isascii() and part.isdigit() for part in parts):
+                return cls(tuple(map(int, parts)))
+        except ValueError:  # more digits than int() converts
+            pass
+        raise ValueError(f"not a comma-separated integer vector: {text!r}")
 
     @property
     def text(self) -> str:

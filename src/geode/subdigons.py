@@ -18,7 +18,8 @@ the counterclockwise boundary walk becomes post-order traversal.
 Every walk over the nested slots is a loop, so depth is not limited by
 Python's recursion limit.  The structure maps write and read the degree word
 a tree stores (``tree.word``), and subdigons compare and hash by the word of
-their tree image; enumeration and face deletion stay independent of trees.
+their tree image, computed from their own slots on first use and kept;
+enumeration and face deletion stay independent of trees.
 
 Text form mirrors trees: a face is "(" + slots + ")", a boundary slot is
 "()", and the trivial subdigon is "*e*".  A subdigon and its tree image
@@ -36,6 +37,7 @@ from .hypercatalan import hyper_catalan
 from .reports import CheckGroup, Mismatch, VerificationReport
 from .series import TypeVector, _Value, enumerate_types, grading_key
 from .trees import (
+    MarkedTree,
     OrderedTree,
     Path,
     Word,
@@ -57,9 +59,11 @@ def _slot_word(sub: Subdigon) -> Word:
     stack: list[Subdigon | None] = [sub]
     while stack:
         face = stack.pop()
-        slots = () if face is None else face.slots
-        word.append(len(slots))
-        stack += slots[::-1]
+        if face is None:
+            word.append(0)
+        else:
+            word.append(len(face.slots))
+            stack += face.slots[::-1]
     return tuple(word)
 
 
@@ -68,9 +72,11 @@ class Subdigon(_Value):
 
     Glued slots must themselves contain a face; a lone edge behind an arc
     would just be a boundary edge, which is written as None.  This keeps the
-    representation canonical.
+    representation canonical.  The degree word is computed from the slots on
+    the first compare or hash and kept.
     """
 
+    __slots__ = ("slots", "_word")
     slots: tuple[Subdigon | None, ...]
 
     def __init__(self, slots: tuple[Subdigon | None, ...] = ()) -> None:
@@ -79,7 +85,25 @@ class Subdigon(_Value):
                 raise ValueError("a glued slot must hold a face; boundary edges are None")
         object.__setattr__(self, "slots", slots)
 
-    _key = property(_slot_word)
+    def __reduce__(self) -> tuple:
+        # copy and pickle would restore the slots through __setattr__
+        return Subdigon._from_slots, (self.slots,)
+
+    @classmethod
+    def _from_slots(cls, slots: tuple[Subdigon | None, ...]) -> Subdigon:
+        """Trusted constructor: wrap slots that are canonical by construction."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "slots", slots)
+        return sub
+
+    @property
+    def _key(self) -> Word:
+        try:
+            return self._word
+        except AttributeError:
+            word = _slot_word(self)
+            object.__setattr__(self, "_word", word)
+            return word
 
     @property
     def is_trivial(self) -> bool:
@@ -141,17 +165,15 @@ class MarkedSubdigon(_Value):
 
 def subdigon_type(sub: Subdigon) -> TypeVector:
     """Face-size counts: entry n is the number of faces with n + 1 edges."""
-    counts: dict[int, int] = {}
-    stack = [sub] if not sub.is_trivial else []
-    while stack:
-        face = stack.pop()
-        size = len(face.slots)
-        counts[size] = counts.get(size, 0) + 1
-        stack.extend(slot for slot in face.slots if slot is not None)
-    if not counts:
+    if sub.is_trivial:
         return TypeVector.zero()
-    top = max(counts)
-    return TypeVector(tuple(counts.get(n, 0) for n in range(1, top + 1)))
+    sizes: list[int] = []
+    stack = [sub]
+    while stack:
+        slots = stack.pop().slots
+        sizes.append(len(slots))
+        stack += filter(None, slots)  # the glued slots; None is a boundary edge
+    return TypeVector(tuple(map(sizes.count, range(1, max(sizes) + 1))))
 
 
 def subdigon_to_tree(sub: Subdigon) -> OrderedTree:
@@ -160,7 +182,7 @@ def subdigon_to_tree(sub: Subdigon) -> OrderedTree:
     Boundary edges turn into leaves and glued subdigons into subtrees, so
     types are preserved.
     """
-    return OrderedTree._from_word(_slot_word(sub))
+    return OrderedTree._from_word(sub._key)
 
 
 def tree_to_subdigon(tree: OrderedTree) -> Subdigon:
@@ -168,8 +190,13 @@ def tree_to_subdigon(tree: OrderedTree) -> Subdigon:
     # the word read right to left as Polish notation; a 0 is a boundary edge
     stack: list[Subdigon | None] = []  # finished slots, the leftmost on top
     for degree in reversed(tree.word):
-        cut = len(stack) - degree
-        stack[cut:] = [Subdigon(tuple(stack[cut:][::-1])) if degree else None]
+        if degree:
+            slots = stack[-degree:]
+            del stack[-degree:]
+            slots.reverse()
+            stack.append(Subdigon._from_slots(tuple(slots)))
+        else:
+            stack.append(None)
     return stack[0] or TRIVIAL
 
 
@@ -269,7 +296,7 @@ def _enumerate_subdigons_cached(m: TypeVector) -> tuple[Subdigon, ...]:
                 for part in parts
             ]
             for combo in product(*slot_choices):
-                out.append(Subdigon(combo))
+                out.append(Subdigon._from_slots(combo))
     return tuple(out)
 
 
@@ -336,7 +363,7 @@ def _replace_slot(
     for face, i in zip(reversed(faces), reversed(path)):
         slots = list(face.slots)
         slots[i] = replacement
-        replacement = Subdigon(tuple(slots))
+        replacement = Subdigon._from_slots(tuple(slots))
     return replacement
 
 
@@ -348,8 +375,22 @@ def compose_subdigon(n: int, marked: MarkedSubdigon) -> Subdigon:
     """
     if n < 1:
         raise ValueError(f"a face needs at least one non-roof edge, got n={n}")
-    edge = external_edges_ccw(marked.subdigon)[marked.mark]
-    return _replace_slot(marked.subdigon, edge, Subdigon((None,) * n))
+    # a markable edge lies on the descent to the first external face: it is
+    # one of the boundary slots that some face has before its first glued one
+    path: list[int] = []
+    face, mark = marked.subdigon, marked.mark
+    while face.slots:
+        for glued, slot in enumerate(face.slots):
+            if slot is not None:
+                break
+        else:
+            glued = len(face.slots)  # the external face; the mark is one of its slots
+        if mark < glued:
+            path.append(mark)
+            break
+        path.append(glued)
+        face, mark = face.slots[glued], mark - glued
+    return _replace_slot(marked.subdigon, tuple(path), Subdigon._from_slots((None,) * n))
 
 
 def verify_bijections(bound: int) -> VerificationReport:
@@ -369,12 +410,18 @@ def verify_bijections(bound: int) -> VerificationReport:
     coverage = _Tally("deletion bijects onto marked structures")
     square = _Tally("deletion commutes with the structure map")
 
+    # each map runs once per object: the subdigon side reuses the tree side's
+    # images and decompositions by tree, and each reduced type's marked lists
+    # are enumerated once for every heavier type
+    marked_lists: dict[TypeVector, tuple[list[MarkedTree], list[MarkedSubdigon]]] = {}
+
     for m in enumerate_types(bound):
         trees = enumerate_trees(m)
         subs = enumerate_subdigons(m)
         expected = hyper_catalan(m)
         tree_images = [tree_to_subdigon(t) for t in trees]
         sub_images = [subdigon_to_tree(s) for s in subs]
+        images = dict(zip(trees, tree_images))
 
         ok = sum(
             1
@@ -384,7 +431,7 @@ def verify_bijections(bound: int) -> VerificationReport:
         ok += sum(
             1
             for s, t in zip(subs, sub_images)
-            if tree_to_subdigon(t) == s and tree_type(t) == m
+            if _reuse(images, t, tree_to_subdigon) == s and tree_type(t) == m
         )
         roundtrip.add(m, len(trees) + len(subs), ok)
 
@@ -407,18 +454,22 @@ def verify_bijections(bound: int) -> VerificationReport:
         )
         strip.add(m, len(trees) + len(subs), ok)
 
-        want_tree = {
-            (n, marked.tree, marked.mark)
+        reduced = [
+            (n, m - TypeVector.unit(n))
             for n in range(1, len(m.entries) + 1)
             if m.multiplicity(n)
-            for marked in enumerate_marked_trees(m - TypeVector.unit(n))
+        ]
+        for _, k in reduced:
+            if k not in marked_lists:
+                marked_lists[k] = enumerate_marked_trees(k), enumerate_marked_subdigons(k)
+        want_tree = {
+            (n, marked.tree, marked.mark) for n, k in reduced for marked in marked_lists[k][0]
         }
         got_tree = {(n, mk.tree, mk.mark) for n, mk in tree_pairs}
         want_sub = {
             (n, marked.subdigon, marked.mark)
-            for n in range(1, len(m.entries) + 1)
-            if m.multiplicity(n)
-            for marked in enumerate_marked_subdigons(m - TypeVector.unit(n))
+            for n, k in reduced
+            for marked in marked_lists[k][1]
         }
         got_sub = {(n, mk.subdigon, mk.mark) for n, mk in sub_pairs}
         coverage.add(
@@ -429,9 +480,10 @@ def verify_bijections(bound: int) -> VerificationReport:
             else -1,
         )
 
+        decompositions = dict(zip(trees, tree_pairs))
         ok = 0
         for t, (n_sub, marked_sub) in zip(sub_images, sub_pairs):
-            n_tree, marked_tree = decompose_tree(t)
+            n_tree, marked_tree = _reuse(decompositions, t, decompose_tree)
             if (
                 n_tree == n_sub
                 and marked_tree.tree == subdigon_to_tree(marked_sub.subdigon)
@@ -444,6 +496,12 @@ def verify_bijections(bound: int) -> VerificationReport:
         tally.group() for tally in (roundtrip, counts, strip, coverage, square)
     )
     return VerificationReport("bijections", bound, groups)
+
+
+def _reuse(results: dict, key, compute):
+    """results[key], or compute(key) for a key the enumerated side never reached."""
+    value = results.get(key)
+    return compute(key) if value is None else value
 
 
 class _Tally:

@@ -145,6 +145,10 @@ def test_trees_usage_errors(capsys):
     assert "error" in err
     code, _, err = run(capsys, "trees", "--type", "0,0,0,0,0,3")
     assert code == 2  # weight 18 exceeds the enumeration bound
+    for text in ["1_0", "+1", "-0", "\u0663"]:  # int() alone takes each of these
+        code, out, err = run(capsys, "trees", "--type", text)
+        assert (code, out) == (2, "")
+        assert "not a comma-separated integer vector" in err
 
 
 def test_verify_pass_and_exit_codes(capsys):
@@ -309,6 +313,8 @@ def test_table_golden_bytes(capsys, argv, digest):
          "79a2cb2b0e4d5ee1a8c570aa3923c7ba438e6039c507ccc2d992b277361fadde"),
         ("g-table --max-weight 8 --with-counts",
          "e8e6caa98cae4085eaa4a5de4a467500193bea56e65365fd273073210f251812"),
+        ("verify --checks bijections --max-weight 9 --max-enum-weight 9",
+         "7f6d0f9c1450c3058b6e3ee4163aeaecb7f02debcb0f01bddf6dc973d2248d3c"),
     ],
 )
 def test_enumeration_golden_bytes(capsys, argv, digest):

@@ -1,7 +1,11 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import geode.subdigons as subdigons_module
 from geode import (
     LEAF,
     MarkedSubdigon,
@@ -248,3 +252,105 @@ def test_verify_bijections_report():
     assert report.passed
     assert len(report.groups) == 5
     assert all(group.checked > 0 for group in report.groups)
+
+
+def test_deep_chains_decompose_and_compose_without_recursion():
+    # every face a triangle gluing its second slot: the one boundary slot before
+    # each glued one is markable, so marks run up to the depth
+    text = "(()" * 3000 + "(()())" + ")" * 3000
+    deep = Subdigon.parse(text)
+    assert tree_to_subdigon(OrderedTree.parse(text)) == deep
+    assert count_initial_external_edges(deep) == 3002
+    n, marked = decompose_subdigon(deep)
+    assert (n, marked.mark) == (2, 3000)
+    assert compose_subdigon(n, marked) == deep
+    # a mark part of the way down glues the new face there
+    composed = compose_subdigon(1, MarkedSubdigon(deep, 1500))
+    assert composed.serialize() == (
+        "(()" * 1500 + "((())" + "(()" * 1499 + "(()())" + ")" * 3000
+    )
+    assert decompose_subdigon(composed) == (1, MarkedSubdigon(deep, 1500))
+
+
+def test_compose_glues_onto_the_edge_the_boundary_walk_lists():
+    for m in enumerate_types(5):
+        for marked in enumerate_marked_subdigons(m):
+            edge = external_edges_ccw(marked.subdigon)[marked.mark]
+            expected = subdigons_module._replace_slot(
+                marked.subdigon, edge, Subdigon((None, None))
+            )
+            assert compose_subdigon(2, marked) == expected
+
+
+def test_cached_word_is_the_word_of_the_slots():
+    for sub in [TRIVIAL, TRIANGLE, Subdigon.parse(SECT2_SUBDIGON)]:
+        fresh = subdigons_module._slot_word(sub)
+        hash(sub)
+        assert sub._word == fresh
+        assert subdigon_to_tree(sub).word == fresh
+    built = tree_to_subdigon(OrderedTree.parse(SECT2_SUBDIGON))
+    assert not hasattr(built, "_word")  # computed on first use, not copied from the tree
+    assert built == Subdigon.parse(SECT2_SUBDIGON)
+    assert built._word == subdigons_module._slot_word(built)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_copy_and_pickle_before_and_after_caching(cached):
+    sub = Subdigon.parse(SECT2_SUBDIGON)
+    marked = MarkedSubdigon(sub, 0)
+    if cached:
+        hash(sub)
+    for value in (sub, marked):
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert clone == value and hash(clone) == hash(value)
+    assert copy.deepcopy(sub).serialize() == SECT2_SUBDIGON
+
+
+def _failing_groups(report):
+    assert not report.passed
+    return {group.label for group in report.groups if group.mismatches}
+
+
+def test_verify_bijections_detects_a_corrupted_structure_map(monkeypatch):
+    real = subdigons_module.tree_to_subdigon
+    target = OrderedTree.parse("((())())")  # the root's two subtrees differ
+
+    def corrupted(tree):
+        sub = real(tree)
+        return Subdigon(sub.slots[::-1]) if tree == target else sub
+
+    monkeypatch.setattr(subdigons_module, "tree_to_subdigon", corrupted)
+    assert _failing_groups(verify_bijections(4)) == {
+        "structure maps invert each other and preserve type"
+    }
+
+
+def test_verify_bijections_detects_a_wrong_mark_from_deletion(monkeypatch):
+    real = subdigons_module.decompose_subdigon
+    target = Subdigon.parse("((()())())")  # deletion leaves a triangle marked 0
+
+    def corrupted(sub):
+        n, marked = real(sub)
+        if sub == target:
+            marked = MarkedSubdigon(marked.subdigon, 1)
+        return n, marked
+
+    assert real(target)[1] == MarkedSubdigon(TRIANGLE, 0)
+    monkeypatch.setattr(subdigons_module, "decompose_subdigon", corrupted)
+    failing = _failing_groups(verify_bijections(4))
+    assert failing & {
+        "deletion bijects onto marked structures",
+        "deletion commutes with the structure map",
+    }
+
+
+def test_verify_bijections_detects_a_corrupted_attachment(monkeypatch):
+    real = subdigons_module.compose_subdigon
+    target = (2, MarkedSubdigon(TRIANGLE, 1))
+
+    def corrupted(n, marked):
+        sub = real(n, marked)
+        return Subdigon(sub.slots[::-1]) if (n, marked) == target else sub
+
+    monkeypatch.setattr(subdigons_module, "compose_subdigon", corrupted)
+    assert _failing_groups(verify_bijections(4)) == {"deletion/attachment round trips"}
