@@ -12,6 +12,7 @@ from .factorization import (
     geode_series,
     solve_factorization,
     verify_factorization,
+    verify_grade_sums,
     verify_marked_subdigons,
     verify_marked_trees,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "verify_bijections",
     "verify_factorization",
     "verify_functional_equation",
+    "verify_grade_sums",
     "verify_marked_subdigons",
     "verify_marked_trees",
 ]

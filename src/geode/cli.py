@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Sequence
 from .factorization import (
     geode_series,
     verify_factorization,
+    verify_grade_sums,
     verify_marked_subdigons,
     verify_marked_trees,
 )
@@ -32,7 +33,8 @@ VERIFY_CHECKS = (
     "marked-trees",
     "marked-subdigons",
     "bijections",
-)
+)  # what 'all' runs
+KNOWN_CHECKS = (*VERIFY_CHECKS, "grade-sums")  # grade-sums runs only when named
 ENUMERATION_CHECKS = {"marked-trees", "marked-subdigons", "bijections"}
 
 
@@ -119,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--checks",
         default="all",
         metavar="LIST",
-        help="comma-separated subset of {%s} or 'all' (default)"
-        % ",".join(VERIFY_CHECKS),
+        help="comma-separated subset of {%s}, or 'all' (default) "
+        "for every check but grade-sums" % ",".join(KNOWN_CHECKS),
     )
     p.add_argument(
         "--format",
@@ -235,10 +237,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         selected = [c.strip() for c in args.checks.split(",") if c.strip()]
         if not selected:
             raise _UsageError("no checks selected")
-        unknown = [c for c in selected if c not in VERIFY_CHECKS]
+        unknown = [c for c in selected if c not in KNOWN_CHECKS]
         if unknown:
             raise _UsageError(
-                f"unknown checks {unknown}; valid: {', '.join(VERIFY_CHECKS)} or 'all'"
+                f"unknown checks {unknown}; valid: {', '.join(KNOWN_CHECKS)}, "
+                "or 'all' for every check but grade-sums"
             )
     needs_enum = [c for c in selected if c in ENUMERATION_CHECKS]
     if needs_enum and args.max_weight > args.max_enum_weight:
@@ -253,6 +256,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "marked-trees": verify_marked_trees,
         "marked-subdigons": verify_marked_subdigons,
         "bijections": verify_bijections,
+        "grade-sums": verify_grade_sums,
     }
     reports = [runners[name](args.max_weight) for name in selected]
     if args.format == "json":

@@ -17,6 +17,11 @@ are genuinely overdetermined: verify_factorization checks them separately.
 
 The coefficients of G count marked trees (and marked subdigons); the
 verify_marked_* routines check this against exhaustive enumeration.
+
+Setting every t_n to a single t sums each grade: S becomes the Catalan
+series sum C_w t^w and t_1 + t_2 + ... becomes t/(1 - t), so G_0 = 1 and
+G_w = C_(w+1) - C_w.  verify_grade_sums checks both sides against Catalan
+numbers from the classical convolution recurrence, not the hyper-Catalan formula.
 """
 
 from __future__ import annotations
@@ -109,6 +114,30 @@ def verify_factorization(bound: int) -> VerificationReport:
         ),
     )
     return VerificationReport("factorization", bound, groups)
+
+
+def verify_grade_sums(bound: int) -> VerificationReport:
+    """Check each grade sum of S against C_w and of G against C_(w+1) - C_w.
+
+    A mismatch is keyed by its grade, e.g. "weight 3", not by a monomial.
+    """
+    catalan = [1]
+    for n in range(1, bound + 2):
+        catalan.append(sum(catalan[i] * catalan[n - 1 - i] for i in range(n)))
+    differences = [1] + [catalan[w + 1] - catalan[w] for w in range(1, bound + 1)]
+    groups = []
+    for label, series, wanted in (
+        ("S grade sums vs Catalan numbers", hyper_catalan_series(bound), catalan),
+        ("G grade sums vs Catalan differences", geode_series(bound), differences),
+    ):
+        sums = [sum(series._grades.get(w, {}).values()) for w in range(bound + 1)]
+        mismatches = tuple(
+            Mismatch(f"weight {w}", wanted[w], got)
+            for w, got in enumerate(sums)
+            if got != wanted[w]
+        )
+        groups.append(CheckGroup(label, bound + 1, mismatches))
+    return VerificationReport("grade-sums", bound, tuple(groups))
 
 
 def verify_marked_trees(bound: int) -> VerificationReport:

@@ -6,7 +6,10 @@ from typing import NamedTuple
 
 
 class Mismatch(NamedTuple):
-    """One failed equality, keyed by the monomial (canonical text form)."""
+    """One failed equality, keyed by the monomial (canonical text form).
+
+    Grade-level checks key by weight instead, e.g. "weight 3".
+    """
 
     monomial: str
     expected: int

@@ -225,6 +225,10 @@ class TruncatedSeries(_Value):
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "_grades", grades)
 
+    def __reduce__(self) -> tuple:
+        # copy and pickle would restore the slots through __setattr__
+        return TruncatedSeries._from_grades, (self.bound, self._grades)
+
     @classmethod
     def _from_grades(cls, bound: int, grades: _Grades) -> TruncatedSeries:
         """A series from trusted grades, less zeros, empty grades and grades above bound."""

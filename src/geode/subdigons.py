@@ -154,6 +154,14 @@ class MarkedSubdigon(_Value):
 
     _key = property(attrgetter("subdigon", "mark"))
 
+    @classmethod
+    def _from_valid(cls, subdigon: Subdigon, mark: int) -> MarkedSubdigon:
+        """Trusted constructor: the mark is known to lie within the first external face."""
+        marked = object.__new__(cls)
+        object.__setattr__(marked, "subdigon", subdigon)
+        object.__setattr__(marked, "mark", mark)
+        return marked
+
     def __repr__(self) -> str:
         return f"MarkedSubdigon(subdigon={self.subdigon!r}, mark={self.mark!r})"
 
@@ -333,7 +341,7 @@ def count_marked_subdigons(m: TypeVector) -> int:
 
 def enumerate_marked_subdigons(m: TypeVector) -> list[MarkedSubdigon]:
     return [
-        MarkedSubdigon(sub, mark)
+        MarkedSubdigon._from_valid(sub, mark)
         for sub in enumerate_subdigons(m)
         for mark in range(count_initial_external_edges(sub))
     ]

@@ -144,6 +144,14 @@ class MarkedTree(_Value):
 
     _key = property(attrgetter("tree", "mark"))
 
+    @classmethod
+    def _from_valid(cls, tree: OrderedTree, mark: int) -> MarkedTree:
+        """Trusted constructor: the mark is known to be an initial leaf of the tree."""
+        marked = object.__new__(cls)
+        object.__setattr__(marked, "tree", tree)
+        object.__setattr__(marked, "mark", mark)
+        return marked
+
     def serialize(self) -> str:
         return _mark_text(self.tree.serialize(), self.mark)
 
@@ -282,7 +290,7 @@ def count_marked_trees(m: TypeVector) -> int:
 
 def enumerate_marked_trees(m: TypeVector) -> list[MarkedTree]:
     return [
-        MarkedTree(tree, mark)
+        MarkedTree._from_valid(tree, mark)
         for tree in enumerate_trees(m)
         for mark in range(count_initial_leaves(tree))
     ]

@@ -194,6 +194,47 @@ def test_verify_json_report(capsys):
     ]
 
 
+def test_verify_grade_sums(capsys):
+    code, out, _ = run(capsys, "verify", "--checks", "grade-sums", "--max-weight", "6")
+    assert code == 0
+    assert out.splitlines() == [
+        "grade-sums (weight <= 6): PASS",
+        "  S grade sums vs Catalan numbers: 7 checked",
+        "  G grade sums vs Catalan differences: 7 checked",
+    ]
+    code, out, err = run(capsys, "verify", "--checks", "grade-sums", "--max-weight", "-1")
+    assert (code, out) == (2, "")
+    assert "nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "name, group, mismatch",
+    [  # C_2 = 2 and C_3 - C_2 = 3, each one too high
+        ("hyper_catalan_series", "S grade sums vs Catalan numbers", "expected 2, got 3"),
+        ("geode_series", "G grade sums vs Catalan differences", "expected 3, got 4"),
+    ],
+)
+def test_verify_grade_sums_names_the_corrupted_grade(
+    capsys, monkeypatch, name, group, mismatch
+):
+    real = getattr(geode.factorization, name)
+
+    def corrupted(bound):
+        coeffs = dict(real(bound).items())
+        coeffs[geode.TypeVector((0, 1))] += 1
+        return geode.TruncatedSeries(bound, coeffs)
+
+    monkeypatch.setattr(geode.factorization, name, corrupted)
+    code, out, _ = run(capsys, "verify", "--checks", "grade-sums", "--max-weight", "6")
+    assert code == 1
+    assert [line for line in out.splitlines() if "mismatch" in line] == [
+        f"  {group}: 7 checked, 1 mismatches"
+    ]
+    assert [line for line in out.splitlines() if "expected" in line] == [
+        f"    [weight 2]: {mismatch}"
+    ]
+
+
 def test_verify_rejects_unknown_checks(capsys):
     code, _, err = run(capsys, "verify", "--checks", "nonsense")
     assert code == 2

@@ -184,6 +184,24 @@ def test_marked_subdigon_invariant():
         MarkedSubdigon(deep, 1)
 
 
+def test_marked_enumeration_counts_markable_edges_once_per_subdigon(monkeypatch):
+    real, seen = subdigons_module.count_initial_external_edges, []
+    monkeypatch.setattr(
+        subdigons_module,
+        "count_initial_external_edges",
+        lambda sub: seen.append(sub) or real(sub),
+    )
+    m = V((2, 1, 1))
+    marked = enumerate_marked_subdigons(m)
+    assert seen == enumerate_subdigons(m)
+    assert len(marked) == count_marked_subdigons(m)
+    assert all(MarkedSubdigon(x.subdigon, x.mark) == x for x in marked)
+    # the public constructor, and so the decompose map, still checks the mark
+    monkeypatch.setattr(subdigons_module, "count_initial_external_edges", lambda sub: 0)
+    with pytest.raises(ValueError):
+        decompose_subdigon(TRIANGLE)
+
+
 def test_count_marked_subdigons_examples():
     assert count_marked_subdigons(V.zero()) == 1
     assert count_marked_subdigons(V((0, 1))) == 2

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import geode.trees as trees_module
 from geode import (
     LEAF,
     MarkedTree,
@@ -187,6 +188,22 @@ def test_marked_tree_invariant():
         MarkedTree(tree, 1)
     with pytest.raises(ValueError):
         MarkedTree(tree, -1)
+
+
+def test_marked_enumeration_counts_initial_leaves_once_per_tree(monkeypatch):
+    real, seen = trees_module.count_initial_leaves, []
+    monkeypatch.setattr(
+        trees_module, "count_initial_leaves", lambda tree: seen.append(tree) or real(tree)
+    )
+    m = V((2, 1, 1))
+    marked = enumerate_marked_trees(m)
+    assert seen == enumerate_trees(m)
+    assert len(marked) == count_marked_trees(m)
+    assert all(MarkedTree(x.tree, x.mark) == x for x in marked)
+    # the public constructor, and so the decompose map, still checks the mark
+    monkeypatch.setattr(trees_module, "count_initial_leaves", lambda tree: 0)
+    with pytest.raises(ValueError):
+        decompose_tree(OrderedTree.parse("(()())"))
 
 
 def test_marked_tree_text_forms():

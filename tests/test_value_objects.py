@@ -13,8 +13,10 @@ from geode import (
     OrderedTree,
     Subdigon,
     TRIVIAL,
+    TruncatedSeries,
     TypeVector,
     VerificationReport,
+    hyper_catalan_series,
 )
 
 
@@ -48,6 +50,11 @@ VALUES = {
         lambda: MarkedSubdigon(Subdigon.parse("(()())"), 1),
         MarkedSubdigon(Subdigon.parse("(()())"), 0),
         "MarkedSubdigon(subdigon=Subdigon.parse('(()())'), mark=1)",
+    ),
+    "TruncatedSeries": (
+        lambda: hyper_catalan_series(3),
+        hyper_catalan_series(2),
+        "<TruncatedSeries bound=3: 1 + t1 + t1^2 + t2 + t1^3 + 3*t1*t2 + t3>",
     ),
     "Mismatch": (
         lambda: Mismatch("1,1", 3, 4),
