@@ -1,13 +1,17 @@
 """Command-line interface: coefficient tables, verifications, enumerations.
 
 Exit status: 0 if everything passed, 1 on a verification mismatch, 2 on a
-usage error, 3 on an internal error.  Table output is deterministic
-byte-for-byte for fixed flags.
+usage error, 3 on an internal error, 141 when stdout's reader has gone
+(128 + SIGPIPE, as a shell reports a command killed by a closed pipe).
+Table output is deterministic byte-for-byte for fixed flags, and each
+command writes its stdout in one piece.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from typing import Callable, Iterable, Sequence
 
@@ -22,7 +26,7 @@ from .hypercatalan import _hyper_catalan_entries, verify_functional_equation
 from .reports import VerificationReport
 from .series import TypeVector, _graded_entries, enumerate_types
 from .subdigons import count_marked_subdigons, verify_bijections
-from .trees import count_marked_trees, enumerate_marked_trees, enumerate_trees
+from .trees import _mark_text, count_initial_leaves, count_marked_trees, enumerate_trees
 
 DEFAULT_MAX_WEIGHT = 8
 DEFAULT_MAX_ENUM_WEIGHT = 10
@@ -47,10 +51,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _require_nonnegative(args.max_enum_weight, "--max-enum-weight")
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a buffered stdout meets a closed pipe here, not at exit
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone; stdout goes to /dev/null so the flush at exit cannot fail
+        with contextlib.suppress(OSError, ValueError):  # an in-memory stdout has no fd
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 141
     except Exception as exc:
         # keep the traceback, but never let a crash exit 1 like a mismatch
         import traceback
@@ -100,23 +112,11 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list marked trees instead, rendering the marked leaf as *",
     )
-    p.add_argument(
-        "--max-enum-weight",
-        type=int,
-        default=DEFAULT_MAX_ENUM_WEIGHT,
-        metavar="N",
-        help="refuse enumeration above this edge weight (default %(default)s)",
-    )
+    _add_bound(p, "--max-enum-weight", DEFAULT_MAX_ENUM_WEIGHT, "refuse enumeration above")
     p.set_defaults(handler=_cmd_trees)
 
     p = sub.add_parser("verify", help="machine-verify the series identities")
-    p.add_argument(
-        "--max-weight",
-        type=int,
-        default=DEFAULT_MAX_WEIGHT,
-        metavar="N",
-        help="verify monomials up to this edge weight (default %(default)s)",
-    )
+    _add_bound(p, "--max-weight", DEFAULT_MAX_WEIGHT, "verify monomials up to")
     p.add_argument(
         "--checks",
         default="all",
@@ -130,13 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="text",
         help="report format (default %(default)s)",
     )
-    p.add_argument(
-        "--max-enum-weight",
-        type=int,
-        default=DEFAULT_MAX_ENUM_WEIGHT,
-        metavar="N",
-        help="refuse enumeration-backed checks above this edge weight "
-        "(default %(default)s)",
+    _add_bound(
+        p, "--max-enum-weight", DEFAULT_MAX_ENUM_WEIGHT, "refuse enumeration-backed checks above"
     )
     p.set_defaults(handler=_cmd_verify)
 
@@ -144,26 +139,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--max-weight",
-        type=int,
-        default=DEFAULT_MAX_WEIGHT,
-        metavar="N",
-        help="include monomials up to this edge weight (default %(default)s)",
-    )
+    _add_bound(p, "--max-weight", DEFAULT_MAX_WEIGHT, "include monomials up to")
     p.add_argument(
         "--format",
         choices=("csv", "json"),
         default="csv",
         help="output format (default %(default)s)",
     )
+    _add_bound(
+        p, "--max-enum-weight", DEFAULT_MAX_ENUM_WEIGHT, "refuse exhaustive enumeration above"
+    )
+
+
+def _add_bound(p: argparse.ArgumentParser, flag: str, default: int, what: str) -> None:
     p.add_argument(
-        "--max-enum-weight",
-        type=int,
-        default=DEFAULT_MAX_ENUM_WEIGHT,
-        metavar="N",
-        help="refuse exhaustive enumeration above this edge weight "
-        "(default %(default)s)",
+        flag, type=int, default=default, metavar="N",
+        help=what + " this edge weight (default %(default)s)",
     )
 
 
@@ -220,12 +211,15 @@ def _cmd_trees(args: argparse.Namespace) -> int:
             f"type [{m.text}] has edge weight {m.edge_weight}, refusing above "
             f"{args.max_enum_weight}; raise --max-enum-weight to force"
         )
-    if args.marked:
-        for marked in enumerate_marked_trees(m):
-            print(marked.serialize())
-    else:
-        for tree in enumerate_trees(m):
-            print(tree.serialize())
+    lines = []
+    for tree in enumerate_trees(m):
+        text = tree.serialize()
+        if args.marked:
+            # each markable leaf in turn, all from the tree's one text
+            lines += [_mark_text(text, mark) for mark in range(count_initial_leaves(tree))]
+        else:
+            lines.append(text)
+    _write_lines(lines)
     return 0
 
 
@@ -266,11 +260,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "passed": all(r.passed for r in reports),
             "checks": [r.to_dict() for r in reports],
         }
-        print(json.dumps(payload, indent=2))
+        _write_lines([json.dumps(payload, indent=2)])
     else:
-        for report in reports:
-            for line in report.lines():
-                print(line)
+        _write_lines([line for report in reports for line in report.lines()])
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -282,7 +274,7 @@ def _require_nonnegative(value: int, flag: str) -> None:
 def _emit_table(rows: Iterable[tuple], columns: list[str], fmt: str) -> None:
     if fmt == "json":
         import json
-        print(json.dumps([dict(zip(columns, row)) for row in rows], indent=2))
+        _write_lines([json.dumps([dict(zip(columns, row)) for row in rows], indent=2)])
         return
     import csv
     import io
@@ -291,6 +283,11 @@ def _emit_table(rows: Iterable[tuple], columns: list[str], fmt: str) -> None:
     writer.writerow(columns)
     writer.writerows(rows)
     sys.stdout.write(buffer.getvalue())
+
+
+def _write_lines(lines: list[str]) -> None:
+    # one write, where a print per line costs system calls per line on an unbuffered stdout
+    sys.stdout.write("".join([line + "\n" for line in lines]))
 
 
 if __name__ == "__main__":

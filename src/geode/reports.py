@@ -55,14 +55,7 @@ class VerificationReport(NamedTuple):
                 {
                     "label": g.label,
                     "checked": g.checked,
-                    "mismatches": [
-                        {
-                            "monomial": m.monomial,
-                            "expected": m.expected,
-                            "actual": m.actual,
-                        }
-                        for m in g.mismatches
-                    ],
+                    "mismatches": [m._asdict() for m in g.mismatches],
                 }
                 for g in self.groups
             ],

@@ -142,6 +142,7 @@ class MarkedSubdigon(_Value):
     face; the trivial subdigon's lone edge is markable (mark 0).
     """
 
+    __slots__ = ("subdigon", "mark")
     subdigon: Subdigon
     mark: int
 
@@ -153,6 +154,10 @@ class MarkedSubdigon(_Value):
         object.__setattr__(self, "mark", mark)
 
     _key = property(attrgetter("subdigon", "mark"))
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle would restore the slots through __setattr__
+        return MarkedSubdigon._from_valid, (self.subdigon, self.mark)
 
     @classmethod
     def _from_valid(cls, subdigon: Subdigon, mark: int) -> MarkedSubdigon:

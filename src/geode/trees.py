@@ -132,6 +132,7 @@ class MarkedTree(_Value):
     before any internal node in post-order traversal.
     """
 
+    __slots__ = ("tree", "mark")
     tree: OrderedTree
     mark: int
 
@@ -143,6 +144,10 @@ class MarkedTree(_Value):
         object.__setattr__(self, "mark", mark)
 
     _key = property(attrgetter("tree", "mark"))
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle would restore the slots through __setattr__
+        return MarkedTree._from_valid, (self.tree, self.mark)
 
     @classmethod
     def _from_valid(cls, tree: OrderedTree, mark: int) -> MarkedTree:

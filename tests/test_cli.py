@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import geode
-from geode import cli
+from geode import cli, enumerate_marked_trees, enumerate_trees, enumerate_types
 from geode.cli import main
 
 
@@ -125,6 +126,16 @@ def test_trees_listing(capsys):
     assert out == "(" * 1200 + "*" + ")" * 1200 + "\n"
 
 
+def test_trees_listing_matches_the_library_renderers(capsys):
+    for m in enumerate_types(7):
+        code, out, _ = run(capsys, "trees", "--type", m.text)
+        assert code == 0
+        assert out == "\n".join(t.serialize() for t in enumerate_trees(m)) + "\n"
+        code, out, _ = run(capsys, "trees", "--type", m.text, "--marked")
+        assert code == 0
+        assert out == "\n".join(t.serialize() for t in enumerate_marked_trees(m)) + "\n"
+
+
 def test_trees_single_node_type(capsys):
     code, out, _ = run(capsys, "trees", "--type", "")
     assert code == 0
@@ -233,6 +244,16 @@ def test_verify_grade_sums_names_the_corrupted_grade(
     assert [line for line in out.splitlines() if "expected" in line] == [
         f"    [weight 2]: {mismatch}"
     ]
+    code, out, _ = run(
+        capsys, "verify", "--checks", "grade-sums", "--max-weight", "6", "--format", "json"
+    )
+    assert code == 1
+    expected, actual = mismatch.removeprefix("expected ").split(", got ")
+    mismatches = [m for g in json.loads(out)["checks"][0]["groups"] for m in g["mismatches"]]
+    # the JSON report keeps each mismatch's fields in this order
+    assert json.dumps(mismatches) == (
+        f'[{{"monomial": "weight 2", "expected": {expected}, "actual": {actual}}}]'
+    )
 
 
 def test_verify_rejects_unknown_checks(capsys):
@@ -289,6 +310,65 @@ def test_import_loads_only_what_every_command_needs():
         check=True,
     )
     assert child.stdout == "[]\n"
+
+
+class CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "s-table --max-weight 6",
+        "s-table --max-weight 6 --format json",
+        "g-table --max-weight 6",
+        "g-table --max-weight 6 --format json",
+        "trees --type 2,1,1",
+        "trees --type 2,1,1 --marked",
+        "verify --max-weight 6 --format text",
+        "verify --max-weight 6 --format json",
+    ],
+)
+def test_each_command_writes_stdout_once(monkeypatch, argv):
+    # a print per line would cost system calls per line on unbuffered stdout
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv.split()) == 0
+    assert stdout.writes == 1
+    assert stdout.getvalue().count("\n") > 1
+
+
+def test_closed_stdout_exits_141_quietly(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["trees", "--type", "0,1", "--marked"]) == 141
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_closed_pipe_in_a_fresh_child_exits_141_with_empty_stderr():
+    src = str(Path(geode.__file__).resolve().parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "geode.cli", "trees", "--type", "0,1", "--marked"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (141, b"")
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
@@ -350,6 +430,10 @@ def test_table_golden_bytes(capsys, argv, digest):
          "9f7cb582b25f1fc6d87d3cecd54996d4c1e7fc86c23b98cb3a2cf39fffb65805"),
         ("trees --type 4,2,0,1 --max-enum-weight 12 --marked",
          "f09423d1c7a6efe8b8d724420a4bb4b238505f12b9f7d5b0d5d2db98996de4dc"),
+        ("trees --type 3,1,0,0,0,0,1 --max-enum-weight 12 --marked",
+         "672d4a181d1ba50be3d4814b7ae61cdd11d952e709fd5c59b181182dbacdd0e6"),
+        ("trees --type 1,1,0,1,1 --max-enum-weight 12 --marked",
+         "5b2e66921aa1dfa01527778f7cf242a6bbb82e17aa0e763a7ada9258b5d2f7af"),
         ("verify --checks all --max-weight 8",
          "79a2cb2b0e4d5ee1a8c570aa3923c7ba438e6039c507ccc2d992b277361fadde"),
         ("g-table --max-weight 8 --with-counts",

@@ -105,6 +105,12 @@ def test_values_copy_and_pickle(name):
     assert pickle.loads(pickle.dumps(value)) == value
 
 
+@pytest.mark.parametrize("name", ["OrderedTree", "MarkedTree", "Subdigon", "MarkedSubdigon"])
+def test_tree_and_subdigon_values_keep_no_instance_dict(name):
+    # verify_bijections keeps thousands of marked trees and subdigons alive
+    assert not hasattr(VALUES[name][0](), "__dict__")
+
+
 @pytest.mark.parametrize("name", VALUES)
 def test_reprs(name):
     build, _, text = VALUES[name]
