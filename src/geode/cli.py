@@ -3,6 +3,7 @@
 Exit status: 0 if everything passed, 1 on a verification mismatch, 2 on a
 usage error, 3 on an internal error, 141 when stdout's reader has gone
 (128 + SIGPIPE, as a shell reports a command killed by a closed pipe).
+A closed stderr costs its message, never the status.
 Table output is deterministic byte-for-byte for fixed flags, and each
 command writes its stdout in one piece.
 """
@@ -13,7 +14,7 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO
 
 from .factorization import (
     geode_series,
@@ -47,32 +48,53 @@ class _UsageError(Exception):
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _require_nonnegative(args.max_enum_weight, "--max-enum-weight")
         code = args.handler(args)
         sys.stdout.flush()  # a buffered stdout meets a closed pipe here, not at exit
         return code
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}\n")
         return 2
     except BrokenPipeError:
-        # the reader has gone; stdout goes to /dev/null so the flush at exit cannot fail
-        with contextlib.suppress(OSError, ValueError):  # an in-memory stdout has no fd
-            fd = sys.stdout.fileno()
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        _to_devnull(sys.stdout)
         return 141
     except Exception as exc:
         # keep the traceback, but never let a crash exit 1 like a mismatch
         import traceback
-        traceback.print_exc()
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _warn(traceback.format_exc() + f"internal error: {type(exc).__name__}: {exc}\n")
         return 3
 
 
+def _warn(text: str) -> None:
+    # every stderr write goes through here: a reader that has gone loses the text only
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+
+
+def _to_devnull(stream: TextIO) -> None:
+    # the reader has gone; point the descriptor at /dev/null so the flush at exit cannot fail
+    with contextlib.suppress(OSError, ValueError):  # an in-memory stream has no fd
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message: str, file: TextIO | None = None) -> None:
+        # argparse drops a failed write and exits 0 or 2 regardless: here --help's
+        # closed stdout reaches main, and usage errors go through _warn
+        if file is sys.stdout:
+            file.write(message)
+            file.flush()
+        else:
+            _warn(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geode",
         description="Exact hyper-Catalan and Geode coefficient tables, "
         "enumerations, and identity verifications.",
@@ -193,10 +215,7 @@ def _cmd_g_table(args: argparse.Namespace) -> int:
             bad.append(text)
     _emit_table(counted, columns, args.format)
     if bad:
-        print(
-            "count mismatch at monomials: " + ", ".join(f"[{b}]" for b in bad),
-            file=sys.stderr,
-        )
+        _warn("count mismatch at monomials: " + ", ".join(f"[{b}]" for b in bad) + "\n")
         return 1
     return 0
 

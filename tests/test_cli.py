@@ -344,31 +344,62 @@ def test_each_command_writes_stdout_once(monkeypatch, argv):
     assert stdout.getvalue().count("\n") > 1
 
 
-def test_closed_stdout_exits_141_quietly(capsys, monkeypatch):
-    class ClosedPipe(io.StringIO):
-        def write(self, text):
-            raise BrokenPipeError(32, "Broken pipe")
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
 
+
+def test_closed_stdout_exits_141_quietly(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert main(["trees", "--type", "0,1", "--marked"]) == 141
     assert "internal error" not in capsys.readouterr().err
 
 
-def test_closed_pipe_in_a_fresh_child_exits_141_with_empty_stderr():
+def run_with_a_closed_reader(argv, closed):
+    """Run a fresh `geode` child whose `closed` stream ("stdout" or "stderr") is the
+    write end of a pipe with its read end closed first; return the status and the
+    bytes of the other stream."""
     src = str(Path(geode.__file__).resolve().parent.parent)
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the child writes
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
     try:
         child = subprocess.run(
-            [sys.executable, "-m", "geode.cli", "trees", "--type", "0,1", "--marked"],
+            [sys.executable, "-m", "geode.cli", *argv],
             env={**os.environ, "PYTHONPATH": src},
-            stdout=write_end,
-            stderr=subprocess.PIPE,
             timeout=60,
+            **streams,
         )
     finally:
         os.close(write_end)
-    assert (child.returncode, child.stderr) == (141, b"")
+    return child.returncode, child.stderr if closed == "stdout" else child.stdout
+
+
+def test_closed_pipe_in_a_fresh_child_exits_141_with_empty_stderr():
+    assert run_with_a_closed_reader(["trees", "--type", "0,1", "--marked"], "stdout") == (141, b"")
+
+
+@pytest.mark.parametrize(
+    "argv, closed, code",
+    [
+        ("--help", "stdout", 141),
+        ("verify --help", "stdout", 141),
+        ("trees --type x", "stderr", 2),
+        ("verify --checks nonsense", "stderr", 2),
+        ("verify --max-weight -1", "stderr", 2),
+        ("g-table --max-weight 12 --with-counts", "stderr", 2),
+        ("nonsense", "stderr", 2),
+    ],
+)
+def test_a_closed_pipe_in_a_fresh_child_keeps_the_exit_status(argv, closed, code):
+    assert run_with_a_closed_reader(argv.split(), closed) == (code, b"")
+
+
+def test_closed_stderr_keeps_the_mismatch_status(capsys, monkeypatch):
+    count = cli.count_marked_trees
+    monkeypatch.setattr(cli, "count_marked_trees", lambda m: count(m) + 1)
+    monkeypatch.setattr(sys, "stderr", ClosedPipe())
+    assert main(["g-table", "--max-weight", "3", "--with-counts"]) == 1
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
