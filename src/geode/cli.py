@@ -247,7 +247,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.checks.strip() == "all":
         selected = list(VERIFY_CHECKS)
     else:
-        selected = [c.strip() for c in args.checks.split(",") if c.strip()]
+        # each check once, in the order it is first named
+        selected = list(dict.fromkeys(c.strip() for c in args.checks.split(",") if c.strip()))
         if not selected:
             raise _UsageError("no checks selected")
         unknown = [c for c in selected if c not in KNOWN_CHECKS]

@@ -23,8 +23,9 @@ _Grades = dict[int, dict[tuple[int, ...], int]]  # weight -> {entries: coefficie
 class _Value:
     """Immutable value: setting any attribute raises, and equality and hash go by ``_key``.
 
-    A subclass sets its fields with ``object.__setattr__`` and names its ``_key``;
-    values of different classes never compare equal.
+    A subclass sets its fields with ``object.__setattr__`` or through its slots'
+    member descriptors, and names its ``_key``; values of different classes never
+    compare equal.
     """
 
     __slots__ = ()
@@ -56,10 +57,7 @@ class TypeVector(_Value):
         entries = tuple(entries)
         if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in entries):
             raise ValueError(f"entries must be nonnegative integers, got {entries!r}")
-        end = len(entries)
-        while end and not entries[end - 1]:
-            end -= 1
-        object.__setattr__(self, "entries", entries[:end])
+        object.__setattr__(self, "entries", _trimmed(entries))
 
     _key = property(attrgetter("entries"))
 
@@ -135,6 +133,14 @@ class TypeVector(_Value):
         if any(d < 0 for d in diff):
             raise ValueError(f"{self!r} - {other!r} has a negative entry")
         return TypeVector(diff)
+
+
+def _trimmed(entries: tuple[int, ...]) -> tuple[int, ...]:
+    """Entries without their trailing zeros, the form a ``TypeVector`` stores."""
+    end = len(entries)
+    while end and not entries[end - 1]:
+        end -= 1
+    return entries[:end]
 
 
 def grading_key(m: TypeVector) -> tuple[int, tuple[int, ...]]:

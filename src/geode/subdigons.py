@@ -30,24 +30,26 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from operator import attrgetter
+from operator import attrgetter, sub as subtract
 from typing import Iterator
 
 from .hypercatalan import hyper_catalan
 from .reports import CheckGroup, Mismatch, VerificationReport
-from .series import TypeVector, _Value, enumerate_types, grading_key
+from .series import TypeVector, _trimmed, _Value, enumerate_types
 from .trees import (
     MarkedTree,
     OrderedTree,
     Path,
     Word,
+    _degree_counts,
     _mark_text,
+    _new,
     _parse_brackets,
+    _tree,
     compose_tree,
     decompose_tree,
     enumerate_marked_trees,
     enumerate_trees,
-    tree_type,
 )
 
 TRIVIAL_TEXT = "*e*"
@@ -83,27 +85,19 @@ class Subdigon(_Value):
         for slot in slots:
             if slot is not None and slot.is_trivial:
                 raise ValueError("a glued slot must hold a face; boundary edges are None")
-        object.__setattr__(self, "slots", slots)
+        _set_slots(self, slots)
 
     def __reduce__(self) -> tuple:
         # copy and pickle would restore the slots through __setattr__
-        return Subdigon._from_slots, (self.slots,)
-
-    @classmethod
-    def _from_slots(cls, slots: tuple[Subdigon | None, ...]) -> Subdigon:
-        """Trusted constructor: wrap slots that are canonical by construction."""
-        sub = object.__new__(cls)
-        object.__setattr__(sub, "slots", slots)
-        return sub
+        return _subdigon, (self.slots,)
 
     @property
     def _key(self) -> Word:
-        try:
-            return self._word
-        except AttributeError:
+        word = getattr(self, "_word", None)  # an unset slot reads as the default
+        if word is None:
             word = _slot_word(self)
-            object.__setattr__(self, "_word", word)
-            return word
+            _set_word(self, word)
+        return word
 
     @property
     def is_trivial(self) -> bool:
@@ -125,10 +119,23 @@ class Subdigon(_Value):
             raise ValueError(
                 f"{text!r} is a bare boundary edge; the trivial subdigon is {TRIVIAL_TEXT!r}"
             )
-        return tree_to_subdigon(OrderedTree._from_word(word))
+        return tree_to_subdigon(_tree(word))
 
     def __repr__(self) -> str:
         return f"Subdigon.parse({self.serialize()!r})"
+
+
+# Trusted constructors, as in trees: no validation, and each field is set
+# through its slot's member descriptor.
+_set_slots = Subdigon.slots.__set__
+_set_word = Subdigon._word.__set__
+
+
+def _subdigon(slots: tuple[Subdigon | None, ...]) -> Subdigon:
+    """Trusted constructor: wrap slots that are canonical by construction."""
+    sub = _new(Subdigon)
+    _set_slots(sub, slots)
+    return sub
 
 
 TRIVIAL = Subdigon()
@@ -150,22 +157,14 @@ class MarkedSubdigon(_Value):
         limit = count_initial_external_edges(subdigon)
         if not 0 <= mark < limit:
             raise ValueError(f"mark {mark} lies beyond the first external face (limit {limit})")
-        object.__setattr__(self, "subdigon", subdigon)
-        object.__setattr__(self, "mark", mark)
+        _set_subdigon(self, subdigon)
+        _set_mark(self, mark)
 
     _key = property(attrgetter("subdigon", "mark"))
 
     def __reduce__(self) -> tuple:
         # copy and pickle would restore the slots through __setattr__
-        return MarkedSubdigon._from_valid, (self.subdigon, self.mark)
-
-    @classmethod
-    def _from_valid(cls, subdigon: Subdigon, mark: int) -> MarkedSubdigon:
-        """Trusted constructor: the mark is known to lie within the first external face."""
-        marked = object.__new__(cls)
-        object.__setattr__(marked, "subdigon", subdigon)
-        object.__setattr__(marked, "mark", mark)
-        return marked
+        return _marked_subdigon, (self.subdigon, self.mark)
 
     def __repr__(self) -> str:
         return f"MarkedSubdigon(subdigon={self.subdigon!r}, mark={self.mark!r})"
@@ -176,17 +175,34 @@ class MarkedSubdigon(_Value):
         return _mark_text(self.subdigon.serialize(), self.mark)
 
 
+_set_subdigon = MarkedSubdigon.subdigon.__set__
+_set_mark = MarkedSubdigon.mark.__set__
+
+
+def _marked_subdigon(subdigon: Subdigon, mark: int) -> MarkedSubdigon:
+    """Trusted constructor: the mark is known to lie within the first external face."""
+    marked = _new(MarkedSubdigon)
+    _set_subdigon(marked, subdigon)
+    _set_mark(marked, mark)
+    return marked
+
+
 def subdigon_type(sub: Subdigon) -> TypeVector:
     """Face-size counts: entry n is the number of faces with n + 1 edges."""
+    return TypeVector(_face_counts(sub))
+
+
+def _face_counts(sub: Subdigon) -> tuple[int, ...]:
+    """The entries of a subdigon's type, counted over its faces."""
     if sub.is_trivial:
-        return TypeVector.zero()
+        return ()
     sizes: list[int] = []
     stack = [sub]
     while stack:
         slots = stack.pop().slots
         sizes.append(len(slots))
         stack += filter(None, slots)  # the glued slots; None is a boundary edge
-    return TypeVector(tuple(map(sizes.count, range(1, max(sizes) + 1))))
+    return tuple(map(sizes.count, range(1, max(sizes) + 1)))
 
 
 def subdigon_to_tree(sub: Subdigon) -> OrderedTree:
@@ -195,7 +211,7 @@ def subdigon_to_tree(sub: Subdigon) -> OrderedTree:
     Boundary edges turn into leaves and glued subdigons into subtrees, so
     types are preserved.
     """
-    return OrderedTree._from_word(sub._key)
+    return _tree(sub._key)
 
 
 def tree_to_subdigon(tree: OrderedTree) -> Subdigon:
@@ -207,7 +223,7 @@ def tree_to_subdigon(tree: OrderedTree) -> Subdigon:
             slots = stack[-degree:]
             del stack[-degree:]
             slots.reverse()
-            stack.append(Subdigon._from_slots(tuple(slots)))
+            stack.append(_subdigon(tuple(slots)))
         else:
             stack.append(None)
     return stack[0] or TRIVIAL
@@ -288,49 +304,50 @@ def enumerate_subdigons(m: TypeVector) -> list[Subdigon]:
     distributing the remaining faces behind its n non-roof edges over all
     ordered type compositions.  Independent of the tree enumerator.
     """
-    # build the smaller types first, so every nested lookup is a cache hit
-    for part in sorted(_subvectors(m), key=grading_key):
-        _enumerate_subdigons_cached(part)
-    return list(_enumerate_subdigons_cached(m))
+    # build the smaller types first, so every nested lookup is a cache hit:
+    # a part of a type precedes it in _subvectors' lexicographic order
+    for part in _subvectors(m.entries):
+        _enumerate_subdigons_cached(_trimmed(part))
+    return list(_enumerate_subdigons_cached(m.entries))
 
 
 @lru_cache(maxsize=None)
-def _enumerate_subdigons_cached(m: TypeVector) -> tuple[Subdigon, ...]:
-    if not m:
+def _enumerate_subdigons_cached(entries: tuple[int, ...]) -> tuple[Subdigon, ...]:
+    """The subdigons of the type with these trimmed entries, as a tuple."""
+    if not entries:
         return (TRIVIAL,)
     out: list[Subdigon] = []
-    for n in range(1, len(m.entries) + 1):
-        if not m.multiplicity(n):
+    for n, count in enumerate(entries, 1):
+        if not count:
             continue
-        rest = m - TypeVector.unit(n)
+        rest = (*entries[: n - 1], count - 1, *entries[n:])
         for parts in _type_compositions(rest, n):
             slot_choices = [
-                (None,) if not part else _enumerate_subdigons_cached(part)
+                _enumerate_subdigons_cached(part) if part else (None,)
                 for part in parts
             ]
-            for combo in product(*slot_choices):
-                out.append(Subdigon._from_slots(combo))
+            out += map(_subdigon, product(*slot_choices))
     return tuple(out)
 
 
-def _type_compositions(total: TypeVector, n: int) -> list[tuple[TypeVector, ...]]:
-    """All ordered n-tuples of type vectors summing to ``total``.
+def _type_compositions(total: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All ordered n-tuples of entry tuples summing to ``total``, each trimmed.
 
     Lexicographic in the order of ``_subvectors``, position by position.
     """
-    heads: list[tuple[tuple[TypeVector, ...], TypeVector]] = [((), total)]
+    heads: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = [((), total)]
     for _ in range(n - 1):
         heads = [
-            (prefix + (head,), rest - head)
+            (prefix + (_trimmed(head),), tuple(map(subtract, rest, head)))
             for prefix, rest in heads
             for head in _subvectors(rest)
         ]
-    return [prefix + (rest,) for prefix, rest in heads]
+    return [prefix + (_trimmed(rest),) for prefix, rest in heads]
 
 
-def _subvectors(v: TypeVector) -> list[TypeVector]:
-    ranges = [range(e + 1) for e in v.entries]
-    return [TypeVector(combo) for combo in product(*ranges)]
+def _subvectors(entries: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every entry tuple bounded by ``entries`` position by position, ascending."""
+    return list(product(*[range(e + 1) for e in entries]))
 
 
 def count_marked_subdigons(m: TypeVector) -> int:
@@ -346,7 +363,7 @@ def count_marked_subdigons(m: TypeVector) -> int:
 
 def enumerate_marked_subdigons(m: TypeVector) -> list[MarkedSubdigon]:
     return [
-        MarkedSubdigon._from_valid(sub, mark)
+        _marked_subdigon(sub, mark)
         for sub in enumerate_subdigons(m)
         for mark in range(count_initial_external_edges(sub))
     ]
@@ -376,7 +393,7 @@ def _replace_slot(
     for face, i in zip(reversed(faces), reversed(path)):
         slots = list(face.slots)
         slots[i] = replacement
-        replacement = Subdigon._from_slots(tuple(slots))
+        replacement = _subdigon(tuple(slots))
     return replacement
 
 
@@ -403,7 +420,7 @@ def compose_subdigon(n: int, marked: MarkedSubdigon) -> Subdigon:
             break
         path.append(glued)
         face, mark = face.slots[glued], mark - glued
-    return _replace_slot(marked.subdigon, tuple(path), Subdigon._from_slots((None,) * n))
+    return _replace_slot(marked.subdigon, tuple(path), _subdigon((None,) * n))
 
 
 def verify_bijections(bound: int) -> VerificationReport:
@@ -429,47 +446,49 @@ def verify_bijections(bound: int) -> VerificationReport:
     marked_lists: dict[TypeVector, tuple[list[MarkedTree], list[MarkedSubdigon]]] = {}
 
     for m in enumerate_types(bound):
+        entries = m.entries  # the types are compared as these count tuples
         trees = enumerate_trees(m)
         subs = enumerate_subdigons(m)
-        expected = hyper_catalan(m)
-        tree_images = [tree_to_subdigon(t) for t in trees]
-        sub_images = [subdigon_to_tree(s) for s in subs]
-        images = dict(zip(trees, tree_images))
+        counts.add(m, 2 * hyper_catalan(m), len(trees) + len(subs))
 
-        ok = sum(
-            1
-            for t, s in zip(trees, tree_images)
-            if subdigon_to_tree(s) == t and subdigon_type(s) == m
-        )
-        ok += sum(
-            1
-            for s, t in zip(subs, sub_images)
-            if _reuse(images, t, tree_to_subdigon) == s and tree_type(t) == m
-        )
-        roundtrip.add(m, len(trees) + len(subs), ok)
-
-        counts.add(m, 2 * expected, len(trees) + len(subs))
-
-        if not m:
+        images: dict[OrderedTree, Subdigon] = {}
+        decompositions: dict[OrderedTree, tuple[int, MarkedTree]] = {}
+        got_tree: set[tuple[int, OrderedTree, int]] = set()
+        got_sub: set[tuple[int, Subdigon, int]] = set()
+        mapped = restored = commuting = 0
+        for t in trees:
+            s = images[t] = tree_to_subdigon(t)
+            if subdigon_to_tree(s) == t and _face_counts(s) == entries:
+                mapped += 1
+            if entries:  # the one-node tree has nothing to delete
+                n, marked = decompositions[t] = decompose_tree(t)
+                if compose_tree(n, marked) == t:
+                    restored += 1
+                got_tree.add((n, marked.tree, marked.mark))
+        for s in subs:
+            t = subdigon_to_tree(s)
+            if _reuse(images, t, tree_to_subdigon) == s and _degree_counts(t.word) == entries:
+                mapped += 1
+            if entries:
+                n, marked = decompose_subdigon(s)
+                if compose_subdigon(n, marked) == s:
+                    restored += 1
+                got_sub.add((n, marked.subdigon, marked.mark))
+                n_tree, marked_tree = _reuse(decompositions, t, decompose_tree)
+                if (
+                    n_tree == n
+                    and marked_tree.tree == subdigon_to_tree(marked.subdigon)
+                    and marked_tree.mark == marked.mark
+                ):
+                    commuting += 1
+        roundtrip.add(m, len(trees) + len(subs), mapped)
+        if not entries:
             continue
-
-        tree_pairs = [decompose_tree(t) for t in trees]
-        sub_pairs = [decompose_subdigon(s) for s in subs]
-        ok = sum(
-            1
-            for t, (n, marked) in zip(trees, tree_pairs)
-            if compose_tree(n, marked) == t
-        )
-        ok += sum(
-            1
-            for s, (n, marked) in zip(subs, sub_pairs)
-            if compose_subdigon(n, marked) == s
-        )
-        strip.add(m, len(trees) + len(subs), ok)
+        strip.add(m, len(trees) + len(subs), restored)
 
         reduced = [
             (n, m - TypeVector.unit(n))
-            for n in range(1, len(m.entries) + 1)
+            for n in range(1, len(entries) + 1)
             if m.multiplicity(n)
         ]
         for _, k in reduced:
@@ -478,32 +497,19 @@ def verify_bijections(bound: int) -> VerificationReport:
         want_tree = {
             (n, marked.tree, marked.mark) for n, k in reduced for marked in marked_lists[k][0]
         }
-        got_tree = {(n, mk.tree, mk.mark) for n, mk in tree_pairs}
         want_sub = {
             (n, marked.subdigon, marked.mark)
             for n, k in reduced
             for marked in marked_lists[k][1]
         }
-        got_sub = {(n, mk.subdigon, mk.mark) for n, mk in sub_pairs}
         coverage.add(
             m,
             len(want_tree) + len(want_sub),
             len(want_tree & got_tree) + len(want_sub & got_sub)
-            if len(got_tree) == len(tree_pairs) and len(got_sub) == len(sub_pairs)
+            if len(got_tree) == len(trees) and len(got_sub) == len(subs)
             else -1,
         )
-
-        decompositions = dict(zip(trees, tree_pairs))
-        ok = 0
-        for t, (n_sub, marked_sub) in zip(sub_images, sub_pairs):
-            n_tree, marked_tree = _reuse(decompositions, t, decompose_tree)
-            if (
-                n_tree == n_sub
-                and marked_tree.tree == subdigon_to_tree(marked_sub.subdigon)
-                and marked_tree.mark == marked_sub.mark
-            ):
-                ok += 1
-        square.add(m, len(subs), ok)
+        square.add(m, len(subs), commuting)
 
     groups = tuple(
         tally.group() for tally in (roundtrip, counts, strip, coverage, square)

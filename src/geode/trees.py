@@ -34,21 +34,13 @@ class OrderedTree(_Value):
     word: Word
 
     def __init__(self, children: tuple[OrderedTree, ...] = ()) -> None:
-        word = (len(children), *chain.from_iterable(child.word for child in children))
-        object.__setattr__(self, "word", word)
+        _set_word(self, (len(children), *chain.from_iterable(child.word for child in children)))
 
     _key = property(attrgetter("word"))
 
     def __reduce__(self) -> tuple:
         # copy and pickle would restore the slot through __setattr__
-        return OrderedTree._from_word, (self.word,)
-
-    @classmethod
-    def _from_word(cls, word: Word) -> OrderedTree:
-        """Trusted constructor: wrap a valid preorder degree word as is."""
-        tree = object.__new__(cls)
-        object.__setattr__(tree, "word", word)
-        return tree
+        return _tree, (self.word,)
 
     @property
     def children(self) -> tuple[OrderedTree, ...]:
@@ -75,10 +67,23 @@ class OrderedTree(_Value):
         word, marks = _parse_brackets(text)
         if marks:
             raise ValueError(f"unexpected '*' in unmarked text {text!r}")
-        return cls._from_word(word)
+        return _tree(word)
 
     def __repr__(self) -> str:
         return f"OrderedTree.parse({self.serialize()!r})"
+
+
+# The trusted constructors below skip validation and set each field through
+# its slot's member descriptor, which _Value.__setattr__ does not intercept.
+_new = object.__new__
+_set_word = OrderedTree.word.__set__
+
+
+def _tree(word: Word) -> OrderedTree:
+    """Trusted constructor: wrap a valid preorder degree word as is."""
+    tree = _new(OrderedTree)
+    _set_word(tree, word)
+    return tree
 
 
 LEAF = OrderedTree()
@@ -140,22 +145,14 @@ class MarkedTree(_Value):
         limit = count_initial_leaves(tree)
         if not 0 <= mark < limit:
             raise ValueError(f"mark {mark} is not an initial leaf position (limit {limit})")
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "mark", mark)
+        _set_tree(self, tree)
+        _set_mark(self, mark)
 
     _key = property(attrgetter("tree", "mark"))
 
     def __reduce__(self) -> tuple:
         # copy and pickle would restore the slots through __setattr__
-        return MarkedTree._from_valid, (self.tree, self.mark)
-
-    @classmethod
-    def _from_valid(cls, tree: OrderedTree, mark: int) -> MarkedTree:
-        """Trusted constructor: the mark is known to be an initial leaf of the tree."""
-        marked = object.__new__(cls)
-        object.__setattr__(marked, "tree", tree)
-        object.__setattr__(marked, "mark", mark)
-        return marked
+        return _marked_tree, (self.tree, self.mark)
 
     def serialize(self) -> str:
         return _mark_text(self.tree.serialize(), self.mark)
@@ -165,15 +162,32 @@ class MarkedTree(_Value):
         word, marks = _parse_brackets(text)
         if len(marks) != 1:
             raise ValueError(f"expected exactly one '*' in {text!r}, found {len(marks)}")
-        return cls(OrderedTree._from_word(word), marks[0])
+        return cls(_tree(word), marks[0])
 
     def __repr__(self) -> str:
         return f"MarkedTree.parse({self.serialize()!r})"
 
 
+_set_tree = MarkedTree.tree.__set__
+_set_mark = MarkedTree.mark.__set__
+
+
+def _marked_tree(tree: OrderedTree, mark: int) -> MarkedTree:
+    """Trusted constructor: the mark is known to be an initial leaf of the tree."""
+    marked = _new(MarkedTree)
+    _set_tree(marked, tree)
+    _set_mark(marked, mark)
+    return marked
+
+
 def tree_type(tree: OrderedTree) -> TypeVector:
     """Downdegree counts: entry n is the number of nodes with n children."""
-    return TypeVector(tuple(tree.word.count(n) for n in range(1, max(tree.word) + 1)))
+    return TypeVector(_degree_counts(tree.word))
+
+
+def _degree_counts(word: Word) -> tuple[int, ...]:
+    """The entries of a word's tree type: how often each letter 1..max occurs."""
+    return tuple(map(word.count, range(1, max(word) + 1)))
 
 
 def _words(m: TypeVector) -> Iterator[Word]:
@@ -215,7 +229,7 @@ def enumerate_trees(m: TypeVector) -> list[OrderedTree]:
 
     Trees come in ascending lexicographic order of their degree words.
     """
-    return [OrderedTree._from_word(word) for word in _words(m)]
+    return list(map(_tree, _words(m)))
 
 
 def _spans(word: Word) -> Iterator[tuple[list[int], int, int]]:
@@ -245,14 +259,14 @@ def post_order(tree: OrderedTree) -> list[tuple[Path, OrderedTree]]:
     they keep positions distinct even when equal subtrees repeat.
     """
     word = tree.word
-    return [(tuple(p), OrderedTree._from_word(word[s:e])) for p, s, e in _spans(word)]
+    return [(tuple(p), _tree(word[s:e])) for p, s, e in _spans(word)]
 
 
 def clawed_nodes(tree: OrderedTree) -> list[tuple[Path, OrderedTree]]:
     """Internal nodes whose children are all leaves, in post-order position."""
     word = tree.word
     return [
-        (tuple(path), OrderedTree._from_word(word[start:end]))
+        (tuple(path), _tree(word[start:end]))
         for path, start, end in _spans(word)
         if end - start == word[start] + 1 > 1
     ]
@@ -295,7 +309,7 @@ def count_marked_trees(m: TypeVector) -> int:
 
 def enumerate_marked_trees(m: TypeVector) -> list[MarkedTree]:
     return [
-        MarkedTree._from_valid(tree, mark)
+        _marked_tree(tree, mark)
         for tree in enumerate_trees(m)
         for mark in range(count_initial_leaves(tree))
     ]
@@ -314,7 +328,7 @@ def decompose_tree(tree: OrderedTree) -> tuple[int, MarkedTree]:
     if i is None:
         raise ValueError("the single-node tree has no clawed node to strip")
     n = word[i]
-    stripped = OrderedTree._from_word(word[:i] + (0,) + word[i + 1 + n :])
+    stripped = _tree(word[:i] + (0,) + word[i + 1 + n :])
     return n, MarkedTree(stripped, word[:i].count(0))
 
 
@@ -324,7 +338,7 @@ def compose_tree(n: int, marked: MarkedTree) -> OrderedTree:
         raise ValueError(f"child count must be positive, got {n}")
     word = marked.tree.word
     i = [j for j, degree in enumerate(word) if not degree][marked.mark]
-    return OrderedTree._from_word(word[:i] + (n,) + (0,) * n + word[i + 1 :])
+    return _tree(word[:i] + (n,) + (0,) * n + word[i + 1 :])
 
 
 def root_decompose(tree: OrderedTree) -> list[OrderedTree]:

@@ -205,6 +205,29 @@ def test_verify_json_report(capsys):
     ]
 
 
+def test_verify_runs_a_repeated_check_once(capsys):
+    once = run(capsys, "verify", "--max-weight", "4", "--checks", "marked-trees")
+    assert once[0] == 0 and once[1].count("PASS") == 1
+    assert run(
+        capsys, "verify", "--max-weight", "4", "--checks", "marked-trees, marked-trees"
+    ) == once
+    code, out, _ = run(
+        capsys,
+        "verify",
+        "--max-weight",
+        "4",
+        "--checks",
+        "bijections,marked-trees,bijections,marked-trees",
+        "--format",
+        "json",
+    )
+    assert code == 0
+    assert [check["name"] for check in json.loads(out)["checks"]] == [
+        "bijections",
+        "marked-trees",
+    ]
+
+
 def test_verify_grade_sums(capsys):
     code, out, _ = run(capsys, "verify", "--checks", "grade-sums", "--max-weight", "6")
     assert code == 0

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 
 import pytest
@@ -9,6 +10,7 @@ import geode.subdigons as subdigons_module
 from geode import (
     LEAF,
     MarkedSubdigon,
+    MarkedTree,
     OrderedTree,
     Subdigon,
     TRIVIAL,
@@ -129,6 +131,27 @@ def test_structure_map_is_a_type_preserving_bijection():
         for s, t in zip(subs, images):
             assert tree_type(t) == m
             assert tree_to_subdigon(t) == s
+
+
+def test_tree_and_subdigon_types_agree_under_the_structure_map():
+    trees = [t for m in enumerate_types(8) for t in enumerate_trees(m)]
+    assert trees[0] == LEAF and tree_to_subdigon(LEAF) == TRIVIAL
+    for t in trees:
+        assert tree_type(t) == subdigon_type(tree_to_subdigon(t))
+
+
+def test_enumeration_order_is_pinned():
+    # one "type:subdigon" line per subdigon of weight <= 7, in enumeration order
+    digest = hashlib.sha256()
+    lines = 0
+    for m in enumerate_types(7):
+        for sub in enumerate_subdigons(m):
+            digest.update(f"{m.text}:{sub.serialize()}\n".encode())
+            lines += 1
+    assert lines == 626  # the Catalan numbers C_0 + ... + C_7
+    assert digest.hexdigest() == (
+        "0a8f48078fed2b10d22d66d7e1d58c6b7f312ba5838c23e2ac25195cb5c53abf"
+    )
 
 
 @given(random_subdigons)
@@ -371,4 +394,51 @@ def test_verify_bijections_detects_a_corrupted_attachment(monkeypatch):
         return Subdigon(sub.slots[::-1]) if (n, marked) == target else sub
 
     monkeypatch.setattr(subdigons_module, "compose_subdigon", corrupted)
+    assert _failing_groups(verify_bijections(4)) == {"deletion/attachment round trips"}
+
+
+def test_verify_bijections_detects_a_type_changing_tree_map(monkeypatch):
+    real = subdigons_module.tree_to_subdigon
+    target = OrderedTree.parse("(()())")  # type (0,1); the square has type (0,0,1)
+
+    def corrupted(tree):
+        return Subdigon((None, None, None)) if tree == target else real(tree)
+
+    monkeypatch.setattr(subdigons_module, "tree_to_subdigon", corrupted)
+    assert _failing_groups(verify_bijections(4)) == {
+        "structure maps invert each other and preserve type"
+    }
+
+
+def test_verify_bijections_detects_a_wrong_mark_from_leaf_stripping(monkeypatch):
+    real = subdigons_module.decompose_tree
+    target = OrderedTree.parse("((()())())")  # stripping leaves a cherry marked 0
+    cherry = OrderedTree.parse("(()())")
+
+    def corrupted(tree):
+        n, marked = real(tree)
+        if tree == target:
+            marked = MarkedTree(marked.tree, 1)
+        return n, marked
+
+    assert real(target) == (2, MarkedTree(cherry, 0))
+    monkeypatch.setattr(subdigons_module, "decompose_tree", corrupted)
+    failing = _failing_groups(verify_bijections(4))
+    assert failing & {
+        "deletion bijects onto marked structures",
+        "deletion commutes with the structure map",
+    }
+
+
+def test_verify_bijections_detects_a_corrupted_leaf_attachment(monkeypatch):
+    real = subdigons_module.compose_tree
+    cherry = OrderedTree.parse("(()())")
+    target = (2, MarkedTree(cherry, 1))
+
+    def corrupted(n, marked):
+        if (n, marked) == target:
+            marked = MarkedTree(cherry, 0)  # attach to the other initial leaf
+        return real(n, marked)
+
+    monkeypatch.setattr(subdigons_module, "compose_tree", corrupted)
     assert _failing_groups(verify_bijections(4)) == {"deletion/attachment round trips"}
