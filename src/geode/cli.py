@@ -17,7 +17,7 @@ import sys
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .factorization import (
-    geode_series,
+    _geode_coefficients,
     verify_factorization,
     verify_grade_sums,
     verify_marked_subdigons,
@@ -25,7 +25,7 @@ from .factorization import (
 )
 from .hypercatalan import _hyper_catalan_entries, verify_functional_equation
 from .reports import VerificationReport
-from .series import TypeVector, _graded_entries, enumerate_types
+from .series import TypeVector, _graded_entries
 from .subdigons import count_marked_subdigons, verify_bijections
 from .trees import _mark_text, count_initial_leaves, count_marked_trees, enumerate_trees
 
@@ -185,10 +185,8 @@ def _cmd_s_table(args: argparse.Namespace) -> int:
     entries = _graded_entries(args.max_weight)
     if args.no_bigons:
         entries = [e for e in entries if not e or not e[0]]
-    # no entry exceeds the bound, so each entry's text is made once
-    text_of = [str(i) for i in range(args.max_weight + 1)].__getitem__
-    rows = ((",".join(map(text_of, e)), _hyper_catalan_entries(e)) for e in entries)
-    _emit_table(rows, ["monomial", "coefficient"], args.format)
+    pairs = ((e, _hyper_catalan_entries(e)) for e in entries)
+    _emit_table(_rows(pairs, args.max_weight), ["monomial", "coefficient"], args.format)
     return 0
 
 
@@ -199,16 +197,15 @@ def _cmd_g_table(args: argparse.Namespace) -> int:
             f"--with-counts enumerates every tree and subdigon, refusing above "
             f"edge weight {args.max_enum_weight}; raise --max-enum-weight to force"
         )
-    g = geode_series(args.max_weight)
-    types = enumerate_types(args.max_weight)
-    rows = [(m.text, g.coefficient(m)) for m in types]
+    g = _geode_coefficients(args.max_weight)
+    rows = _rows(g.items(), args.max_weight)
     columns = ["monomial", "coefficient"]
     if not args.with_counts:
         _emit_table(rows, columns, args.format)
         return 0
     columns += ["marked_trees", "marked_subdigons"]
     counted, bad = [], []
-    for (text, value), m in zip(rows, types):
+    for (text, value), m in zip(rows, map(TypeVector, g)):
         mt, ms = count_marked_trees(m), count_marked_subdigons(m)
         counted.append((text, value, mt, ms))
         if not value == mt == ms:
@@ -218,6 +215,13 @@ def _cmd_g_table(args: argparse.Namespace) -> int:
         _warn("count mismatch at monomials: " + ", ".join(f"[{b}]" for b in bad) + "\n")
         return 1
     return 0
+
+
+def _rows(pairs: Iterable[tuple[tuple[int, ...], int]], bound: int) -> Iterable[tuple]:
+    """(monomial text, value) table rows from (entries, value) pairs of weight <= bound."""
+    # no entry exceeds the bound, so each entry's text is made once
+    text_of = [str(i) for i in range(bound + 1)].__getitem__
+    return ((",".join(map(text_of, e)), value) for e, value in pairs)
 
 
 def _cmd_trees(args: argparse.Namespace) -> int:

@@ -33,6 +33,7 @@ from .reports import CheckGroup, Mismatch, VerificationReport
 from .series import (
     TruncatedSeries,
     TypeVector,
+    _graded_entries,
     enumerate_types,
     mismatches_between,
     sum_of_variables,
@@ -52,10 +53,14 @@ class NegativeGeodeCoefficientError(ArithmeticError):
 
 def geode_series(bound: int) -> TruncatedSeries:
     """G truncated at the given edge weight, solved from the factorization."""
-    order = enumerate_types(bound)
-    lifted = ((k, (k.multiplicity(1) + 1, *k.entries[1:])) for k in order)
-    targets = {k: _hyper_catalan_entries(e) for k, e in lifted}  # C(k + e_1)
-    return solve_factorization(bound, targets, order)
+    return TruncatedSeries._from_entries(bound, _geode_coefficients(bound))
+
+
+def _geode_coefficients(bound: int) -> dict[tuple[int, ...], int]:
+    """G(k) keyed by the entry tuple of k, for every k of weight <= bound, in graded order."""
+    entries = _graded_entries(bound)
+    # the target C(k + e_1): k with its first entry raised by one
+    return _solve((k, _hyper_catalan_entries((k[0] + 1, *k[1:]) if k else (1,))) for k in entries)
 
 
 def solve_factorization(
@@ -67,26 +72,40 @@ def solve_factorization(
     smaller edge weight is valid; the solution cannot depend on the choice.
     Exposed separately so that reorderings and corrupted targets can be
     exercised directly; an order that breaks the rule raises ``ValueError``.
-    The solution is filled grade by grade on entry tuples: the term
-    k + e_1 - e_(i+1) has weight weight(k) - i, so it is read from that grade.
     """
-    grades: dict[int, dict[tuple[int, ...], int]] = {}
-    for m in order:
-        k, weight, value = m.entries, m.edge_weight, targets[m]
-        try:
-            for i in range(1, len(k)):
-                if k[i]:
-                    # k + e_1 - e_(i+1) without trailing zeros; its first entry is >= 1
-                    term = (k[0] + 1, *k[1:i], k[i] - 1, *k[i + 1 :])
-                    while not term[-1]:
-                        term = term[:-1]
-                    value -= grades[weight - i][term]
-        except KeyError:
-            raise ValueError(f"order visits t^[{m.text}] before a lighter monomial") from None
+    solved = _solve((m.entries, targets[m]) for m in order)
+    return TruncatedSeries._from_entries(bound, solved)
+
+
+def _solve(pairs: Iterable[tuple[tuple[int, ...], int]]) -> dict[tuple[int, ...], int]:
+    """G(k) for each (entries of k, C(k + e_1)) pair, keyed by entries in the order given.
+
+    Every term k + e_1 - e_(i+1) is lighter than k, so it must already be solved.
+    """
+    solved: dict[tuple[int, ...], int] = {}
+    for k, value in pairs:
+        last = len(k) - 1
+        if last > 0:
+            term = [k[0] + 1, *k[1:]]  # k + e_1; each term lowers one later entry of it
+            try:
+                for i in range(1, last):
+                    if k[i]:
+                        term[i] -= 1
+                        value -= solved[tuple(term)]
+                        term[i] += 1
+                # k is trimmed, so k_last >= 1; lowering it may leave zeros to trim
+                term[last] -= 1
+                while not term[-1]:
+                    term.pop()
+                value -= solved[tuple(term)]
+            except KeyError:
+                text = TypeVector(k).text
+                raise ValueError(f"order visits t^[{text}] before a lighter monomial") from None
         if value < 0:
-            raise NegativeGeodeCoefficientError(f"coefficient of t^[{m.text}] came out {value}")
-        grades.setdefault(weight, {})[k] = value
-    return TruncatedSeries._from_grades(bound, grades)
+            text = TypeVector(k).text
+            raise NegativeGeodeCoefficientError(f"coefficient of t^[{text}] came out {value}")
+        solved[k] = value
+    return solved
 
 
 def verify_factorization(bound: int) -> VerificationReport:

@@ -244,6 +244,14 @@ class TruncatedSeries(_Value):
         return series
 
     @classmethod
+    def _from_entries(cls, bound: int, coeffs: Mapping[tuple[int, ...], int]) -> TruncatedSeries:
+        """A series from trusted coefficients keyed by trimmed entry tuples, grouped by weight."""
+        grades: _Grades = {}
+        for e, c in coeffs.items():
+            grades.setdefault(sum(map(mul, e, count(1))), {})[e] = c
+        return cls._from_grades(bound, grades)
+
+    @classmethod
     def zero(cls, bound: int) -> TruncatedSeries:
         return cls(bound)
 

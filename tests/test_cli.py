@@ -93,9 +93,9 @@ def test_g_table_with_counts_refuses_beyond_enum_bound(capsys):
 
 def test_g_table_refuses_counts_before_building_g(capsys, monkeypatch):
     def unreachable(bound):
-        raise AssertionError("geode_series ran before the --with-counts gate")
+        raise AssertionError("the Geode recurrence ran before the --with-counts gate")
 
-    monkeypatch.setattr(cli, "geode_series", unreachable)
+    monkeypatch.setattr(cli, "_geode_coefficients", unreachable)
     code, out, err = run(capsys, "g-table", "--max-weight", "34", "--with-counts")
     assert code == 2
     assert out == ""
@@ -469,6 +469,12 @@ def test_verify_algebraic_json_golden_bytes(capsys, bound, digest):
          "b4b8cbc33c6b161ab894f35eff597ae30c51ed492d736c2a66478bdf0e8e1eca"),
         ("s-table --max-weight 0 --format json",
          "bf82698b67d623b898652e5a6e13a85eb0ddf30635deee460413fd7507061293"),
+        ("s-table --max-weight 30",
+         "3fcc6fa4a3b843416b4fae6115bfc7c8395b1bcfa043a4decc1128c856cd27f5"),
+        ("g-table --max-weight 24",
+         "cc71c76ebfd2f9eecbc9529f33887923750873fc452694d03b066a5be1db1ef0"),
+        ("g-table --max-weight 20 --format json",
+         "1d64dbaed48d0bd69b3473d85d29a3b690d8bd2ecabb44aba0d7eee4ec3caa4f"),
     ],
 )
 def test_table_golden_bytes(capsys, argv, digest):

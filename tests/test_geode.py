@@ -13,6 +13,7 @@ from geode import (
     verify_marked_subdigons,
     verify_marked_trees,
 )
+from geode import cli, series
 from oracles import catalan_numbers
 
 V = TypeVector
@@ -85,6 +86,37 @@ def test_solution_is_independent_of_the_processing_order():
     e1 = V.unit(1)
     targets = {k: hyper_catalan(k + e1) for k in types}
     assert solve_factorization(bound, targets, reordered) == default
+
+
+def test_solution_matches_a_reordered_run_from_lifted_vectors_at_weight_14():
+    # pins the entry-level lift of k to k + e_1 against TypeVector addition
+    bound = 14
+    types = enumerate_types(bound)
+    reordered = [
+        m for weight in range(bound + 1)
+        for m in reversed([m for m in types if m.edge_weight == weight])
+    ]
+    e1 = V.unit(1)
+    targets = {k: hyper_catalan(k + e1) for k in types}
+    assert solve_factorization(bound, targets, reordered) == geode_series(bound)
+
+
+def test_geode_recurrence_and_g_table_build_no_type_vector(capsys, monkeypatch):
+    built = []
+    init = TypeVector.__init__
+
+    def counting(self, entries=()):
+        built.append(entries)
+        init(self, entries)
+
+    monkeypatch.setattr(TypeVector, "__init__", counting)
+    series._graded_types.cache_clear()  # as in a fresh process: no cached types to reuse
+    g = geode_series(10)
+    assert cli.main(["g-table", "--max-weight", "10"]) == 0
+    assert capsys.readouterr().out.count("\n") == len(g) + 1
+    assert built == []
+    g.items()  # the API boundary does build them, so the counter is live
+    assert len(built) == len(g)
 
 
 def test_order_visiting_a_vector_too_early_is_a_value_error():
