@@ -23,7 +23,7 @@ from .factorization import (
     verify_marked_subdigons,
     verify_marked_trees,
 )
-from .hypercatalan import _hyper_catalan_entries, verify_functional_equation
+from .hypercatalan import _hyper_catalan_graded, verify_functional_equation
 from .reports import VerificationReport
 from .series import TypeVector, _graded_entries
 from .subdigons import count_marked_subdigons, verify_bijections
@@ -182,10 +182,9 @@ def _add_bound(p: argparse.ArgumentParser, flag: str, default: int, what: str) -
 
 def _cmd_s_table(args: argparse.Namespace) -> int:
     _require_nonnegative(args.max_weight, "--max-weight")
-    entries = _graded_entries(args.max_weight)
+    pairs = zip(_graded_entries(args.max_weight), _hyper_catalan_graded(args.max_weight))
     if args.no_bigons:
-        entries = [e for e in entries if not e or not e[0]]
-    pairs = ((e, _hyper_catalan_entries(e)) for e in entries)
+        pairs = ((e, c) for e, c in pairs if not e or not e[0])
     _emit_table(_rows(pairs, args.max_weight), ["monomial", "coefficient"], args.format)
     return 0
 
@@ -296,17 +295,18 @@ def _require_nonnegative(value: int, flag: str) -> None:
 
 
 def _emit_table(rows: Iterable[tuple], columns: list[str], fmt: str) -> None:
+    # the bytes of csv.writer(lineterminator="\n") or json.dumps(indent=2): the monomial is
+    # the one text cell, digits and commas, quoted in CSV when it has a comma, never escaped
     if fmt == "json":
-        import json
-        _write_lines([json.dumps([dict(zip(columns, row)) for row in rows], indent=2)])
+        cells = [f'    "{columns[0]}": "{{}}"'] + [f'    "{c}": {{}}' for c in columns[1:]]
+        record = ("  {{\n" + ",\n".join(cells) + "\n  }}").format
+        body = ",\n".join([record(*row) for row in rows])
+        sys.stdout.write(f"[\n{body}\n]\n" if body else "[]\n")
         return
-    import csv
-    import io
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    sys.stdout.write(buffer.getvalue())
+    cells = ",{}" * (len(columns) - 1) + "\n"
+    quoted, plain = ('"{}"' + cells).format, ("{}" + cells).format
+    lines = [(quoted if "," in row[0] else plain)(*row) for row in rows]
+    sys.stdout.write(",".join(columns) + "\n" + "".join(lines))
 
 
 def _write_lines(lines: list[str]) -> None:

@@ -26,14 +26,15 @@ numbers from the classical convolution recurrence, not the hyper-Catalan formula
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .hypercatalan import _hyper_catalan_entries, hyper_catalan_series
+from .hypercatalan import _hyper_catalan_graded, hyper_catalan_series
 from .reports import CheckGroup, Mismatch, VerificationReport
 from .series import (
     TruncatedSeries,
     TypeVector,
     _graded_entries,
+    _graded_layout,
     enumerate_types,
     mismatches_between,
     sum_of_variables,
@@ -58,9 +59,17 @@ def geode_series(bound: int) -> TruncatedSeries:
 
 def _geode_coefficients(bound: int) -> dict[tuple[int, ...], int]:
     """G(k) keyed by the entry tuple of k, for every k of weight <= bound, in graded order."""
-    entries = _graded_entries(bound)
-    # the target C(k + e_1): k with its first entry raised by one
-    return _solve((k, _hyper_catalan_entries((k[0] + 1, *k[1:]) if k else (1,))) for k in entries)
+    return _solve(zip(_graded_entries(bound), _lifted_targets(bound)))
+
+
+def _lifted_targets(bound: int) -> Iterator[int]:
+    """C(k + e_1) for each k in ``_graded_entries(bound)``: with one more edge and one more
+    m_1 than k, and as many leaves, C(k + e_1) = C(k) * (w + 1) / (k_1 + 1) in grade w."""
+    (entries, starts), table = _graded_layout(bound), _hyper_catalan_graded(bound)
+    yield 1  # k = 0: C(e_1)
+    for w in range(1, bound + 1):
+        grade = slice(starts[w], starts[w + 1])
+        yield from (c * (w + 1) // (k[0] + 1) for k, c in zip(entries[grade], table[grade]))
 
 
 def solve_factorization(

@@ -14,24 +14,34 @@ satisfying S = 1 + sum_{n >= 1} t_n S^n.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import accumulate
 from math import factorial, prod
 from operator import mul
 
 from .reports import CheckGroup, Mismatch, VerificationReport
-from .series import TruncatedSeries, TypeVector, enumerate_types, mismatches_between
+from .series import (
+    TruncatedSeries, TypeVector, _graded_layout, enumerate_types, mismatches_between
+)
 
 
 def hyper_catalan(m: TypeVector) -> int:
     """The exact hyper-Catalan number C(m); grows factorially with the weight."""
-    return _hyper_catalan_entries(m.entries)
+    return factorial(m.edge_weight) // (factorial(m.leaf_count) * prod(map(factorial, m.entries)))
 
 
-def _hyper_catalan_entries(entries: tuple[int, ...]) -> int:
-    """C(m) from the entry tuple of m: edges! / (leaves! * product of m_n!)."""
-    edges = sum(map(mul, entries, count(1)))
-    leaves = 1 + edges - sum(entries)
-    return factorial(edges) // (factorial(leaves) * prod(map(factorial, entries)))
+def _hyper_catalan_graded(bound: int) -> tuple[int, ...]:
+    """C(m) for every m of weight <= bound, aligned with ``_graded_entries(bound)``.
+
+    Every vector of grade w has w edges, so one factorial table serves the
+    whole grade: C(m) = w! / ((1 + w - sum of m_n)! * product of m_n!).
+    """
+    fact = list(accumulate(range(1, bound + 2), mul, initial=1))  # fact[n] = n!
+    (entries, starts), get = _graded_layout(bound), fact.__getitem__
+    return tuple(
+        fact[w] // (fact[1 + w - sum(e)] * prod(map(get, e)))
+        for w in range(bound + 1)
+        for e in entries[starts[w]:starts[w + 1]]
+    )
 
 
 def hyper_catalan_series(bound: int) -> TruncatedSeries:

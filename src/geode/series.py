@@ -171,7 +171,6 @@ def _graded_types(bound: int) -> tuple[TypeVector, ...]:
     return tuple(map(TypeVector, _graded_entries(bound)))
 
 
-@cache
 def _graded_entries(bound: int) -> tuple[tuple[int, ...], ...]:
     """Entry tuples of every vector of weight <= bound, in graded order.
 
@@ -182,7 +181,15 @@ def _graded_entries(bound: int) -> tuple[tuple[int, ...], ...]:
     >>> _graded_entries(4)[7:]
     ((4,), (2, 1), (1, 0, 1), (0, 2), (0, 0, 0, 1))
     """
+    return _graded_layout(bound)[0]
+
+
+@cache
+def _graded_layout(bound: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """``_graded_entries(bound)`` and the bound + 2 starts of its grades, from one loop:
+    grade w is ``entries[starts[w]:starts[w + 1]]``."""
     out: list[tuple[int, ...]] = [()]
+    starts = [0, 1]  # grade 0 holds only the zero vector
     for weight in range(1, bound + 1):
         chosen, r = [weight], 0  # m_1, m_2, ... and the weight left uncovered
         while chosen:
@@ -200,7 +207,8 @@ def _graded_entries(bound: int) -> tuple[tuple[int, ...], ...]:
             if chosen:
                 chosen[-1] -= 1
                 r += len(chosen)
-    return tuple(out)
+        starts.append(len(out))
+    return tuple(out), tuple(starts)
 
 
 class TruncatedSeries(_Value):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -9,7 +10,16 @@ from pathlib import Path
 import pytest
 
 import geode
-from geode import cli, enumerate_marked_trees, enumerate_trees, enumerate_types
+from geode import (
+    cli,
+    count_marked_subdigons,
+    count_marked_trees,
+    enumerate_marked_trees,
+    enumerate_trees,
+    enumerate_types,
+    geode_series,
+    hyper_catalan_series,
+)
 from geode.cli import main
 
 
@@ -333,6 +343,74 @@ def test_import_loads_only_what_every_command_needs():
         check=True,
     )
     assert child.stdout == "[]\n"
+
+
+def stdlib_table(command, bound, fmt):
+    """The table as the stdlib encoders write it, from rows built through the library API."""
+    if command == "g-table --with-counts":
+        columns = ["monomial", "coefficient", "marked_trees", "marked_subdigons"]
+        rows = [
+            (m.text, c, count_marked_trees(m), count_marked_subdigons(m))
+            for m, c in geode_series(bound).items()
+        ]
+    else:
+        columns = ["monomial", "coefficient"]
+        series = geode_series if command == "g-table" else hyper_catalan_series
+        no_bigons = command == "s-table --no-bigons"
+        rows = [
+            (m.text, c) for m, c in series(bound).items() if not (no_bigons and m.multiplicity(1))
+        ]
+    if fmt == "json":
+        return json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command", ["s-table", "s-table --no-bigons", "g-table", "g-table --with-counts"]
+)
+def test_tables_match_the_stdlib_encoders(capsys, command, fmt):
+    for bound in range(9):
+        argv = [*command.split(), "--max-weight", str(bound), "--format", fmt]
+        assert run(capsys, *argv) == (0, stdlib_table(command, bound, fmt), "")
+
+
+@pytest.mark.parametrize("columns", [["monomial", "coefficient"], ["monomial", "a", "b"]])
+def test_an_empty_table_matches_the_stdlib_encoders(capsys, columns):
+    cli._emit_table([], columns, "json")
+    assert capsys.readouterr().out == json.dumps([], indent=2) + "\n"
+    cli._emit_table([], columns, "csv")
+    assert capsys.readouterr().out == ",".join(columns) + "\n"
+
+
+def test_tables_load_neither_csv_nor_json():
+    # a fresh -S child runs each table command, then a JSON report, which does load json
+    code = (
+        "import sys, geode.cli\n"
+        "for argv in sys.argv[1:]:\n"
+        "    assert geode.cli.main(argv.split()) == 0\n"
+        "    print(sorted({'csv', 'json'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    argvs = [
+        "s-table --max-weight 4",
+        "s-table --max-weight 4 --format json",
+        "g-table --max-weight 4",
+        "g-table --max-weight 4 --format json",
+        "verify --max-weight 2 --format json",
+    ]
+    src = str(Path(geode.__file__).resolve().parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argvs],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert child.stderr.splitlines() == ["[]"] * 4 + ["['json']"]
 
 
 class CountingStdout(io.StringIO):

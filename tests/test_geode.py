@@ -14,6 +14,7 @@ from geode import (
     verify_marked_trees,
 )
 from geode import cli, series
+from geode.factorization import _lifted_targets
 from oracles import catalan_numbers
 
 V = TypeVector
@@ -117,6 +118,14 @@ def test_geode_recurrence_and_g_table_build_no_type_vector(capsys, monkeypatch):
     assert built == []
     g.items()  # the API boundary does build them, so the counter is live
     assert len(built) == len(g)
+
+
+def test_lifted_targets_match_the_formula_at_k_plus_e1_up_to_weight_20():
+    # C(k + e_1) = C(k) (w + 1) / (k_1 + 1), against the formula at the lifted vector
+    e1 = V.unit(1)
+    for bound in (0, 1, 20):
+        targets = list(_lifted_targets(bound))
+        assert targets == [hyper_catalan(k + e1) for k in enumerate_types(bound)]
 
 
 def test_order_visiting_a_vector_too_early_is_a_value_error():

@@ -12,7 +12,9 @@ from geode import (
     hyper_catalan_series,
     verify_functional_equation,
 )
-from oracles import catalan_numbers
+from geode.hypercatalan import _hyper_catalan_graded
+from geode.series import _graded_entries, _graded_layout
+from oracles import catalan_numbers, partition_counts
 
 V = TypeVector
 
@@ -40,6 +42,28 @@ def test_division_is_exact_up_to_weight_18():
             denominator *= math.factorial(e)
         assert numerator % denominator == 0
         assert hyper_catalan(m) == numerator // denominator
+
+
+def test_graded_table_matches_the_single_monomial_formula_up_to_weight_20():
+    table = _hyper_catalan_graded(20)
+    assert len(table) == len(_graded_entries(20))
+    assert list(table) == [hyper_catalan(V(e)) for e in _graded_entries(20)]
+    # a smaller bound is a prefix: the factorial table has no bound-dependent entry
+    assert all(_hyper_catalan_graded(b) == table[: len(_graded_entries(b))] for b in range(20))
+
+
+def test_grade_starts_mark_each_grade_at_its_first_vector():
+    bound = 20
+    entries, starts = _graded_layout(bound)
+    assert entries is _graded_entries(bound)
+    assert len(starts) == bound + 2
+    assert starts[0] == 0 and starts[-1] == len(entries)
+    p = partition_counts(bound)
+    for w in range(bound + 1):
+        grade = entries[starts[w]:starts[w + 1]]
+        assert grade[0] == ((w,) if w else ())  # t_1^w leads its grade
+        assert len(grade) == p[w]
+        assert {V(e).edge_weight for e in grade} == {w}
 
 
 def test_series_small_bounds():
