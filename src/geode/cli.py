@@ -25,22 +25,31 @@ from .factorization import (
 )
 from .hypercatalan import _hyper_catalan_graded, verify_functional_equation
 from .reports import VerificationReport
-from .series import TypeVector, _graded_entries
+from .series import TypeVector, _graded_layout
 from .subdigons import count_marked_subdigons, verify_bijections
 from .trees import _mark_text, count_initial_leaves, count_marked_trees, enumerate_trees
 
 DEFAULT_MAX_WEIGHT = 8
 DEFAULT_MAX_ENUM_WEIGHT = 10
 
-VERIFY_CHECKS = (
-    "functional-eq",
-    "factorization",
-    "marked-trees",
-    "marked-subdigons",
-    "bijections",
-)  # what 'all' runs
-KNOWN_CHECKS = (*VERIFY_CHECKS, "grade-sums")  # grade-sums runs only when named
-ENUMERATION_CHECKS = {"marked-trees", "marked-subdigons", "bijections"}
+
+def _checks() -> dict[str, tuple[Callable[[int], VerificationReport], bool, bool]]:
+    """Each check: name -> (runner, enumerates exhaustively, run by 'all')."""
+    # looked up per call, so a runner patched onto this module is the one that runs
+    return {
+        "functional-eq": (verify_functional_equation, False, True),
+        "factorization": (verify_factorization, False, True),
+        "marked-trees": (verify_marked_trees, True, True),
+        "marked-subdigons": (verify_marked_subdigons, True, True),
+        "bijections": (verify_bijections, True, True),
+        "grade-sums": (verify_grade_sums, False, False),
+    }
+
+
+def _all_text() -> str:
+    """What 'all' covers, for the help and the unknown-check message."""
+    outside = [name for name, (_, _, in_all) in _checks().items() if not in_all]
+    return "for every check but " + ", ".join(outside)
 
 
 class _UsageError(Exception):
@@ -143,8 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--checks",
         default="all",
         metavar="LIST",
-        help="comma-separated subset of {%s}, or 'all' (default) "
-        "for every check but grade-sums" % ",".join(KNOWN_CHECKS),
+        help=f"comma-separated subset of {{{','.join(_checks())}}}, or 'all' (default) "
+        + _all_text(),
     )
     p.add_argument(
         "--format",
@@ -182,7 +191,7 @@ def _add_bound(p: argparse.ArgumentParser, flag: str, default: int, what: str) -
 
 def _cmd_s_table(args: argparse.Namespace) -> int:
     _require_nonnegative(args.max_weight, "--max-weight")
-    pairs = zip(_graded_entries(args.max_weight), _hyper_catalan_graded(args.max_weight))
+    pairs = zip(_graded_layout(args.max_weight)[0], _hyper_catalan_graded(args.max_weight))
     if args.no_bigons:
         pairs = ((e, c) for e, c in pairs if not e or not e[0])
     _emit_table(_rows(pairs, args.max_weight), ["monomial", "coefficient"], args.format)
@@ -247,35 +256,26 @@ def _cmd_trees(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _require_nonnegative(args.max_weight, "--max-weight")
+    checks = _checks()
     if args.checks.strip() == "all":
-        selected = list(VERIFY_CHECKS)
+        selected = [name for name, (_, _, in_all) in checks.items() if in_all]
     else:
         # each check once, in the order it is first named
         selected = list(dict.fromkeys(c.strip() for c in args.checks.split(",") if c.strip()))
         if not selected:
             raise _UsageError("no checks selected")
-        unknown = [c for c in selected if c not in KNOWN_CHECKS]
+        unknown = [c for c in selected if c not in checks]
         if unknown:
             raise _UsageError(
-                f"unknown checks {unknown}; valid: {', '.join(KNOWN_CHECKS)}, "
-                "or 'all' for every check but grade-sums"
+                f"unknown checks {unknown}; valid: {', '.join(checks)}, or 'all' " + _all_text()
             )
-    needs_enum = [c for c in selected if c in ENUMERATION_CHECKS]
+    needs_enum = [c for c in selected if checks[c][1]]
     if needs_enum and args.max_weight > args.max_enum_weight:
         raise _UsageError(
             f"{', '.join(needs_enum)} enumerate exhaustively, refusing above "
             f"edge weight {args.max_enum_weight}; raise --max-enum-weight to force"
         )
-
-    runners: dict[str, Callable[[int], VerificationReport]] = {
-        "functional-eq": verify_functional_equation,
-        "factorization": verify_factorization,
-        "marked-trees": verify_marked_trees,
-        "marked-subdigons": verify_marked_subdigons,
-        "bijections": verify_bijections,
-        "grade-sums": verify_grade_sums,
-    }
-    reports = [runners[name](args.max_weight) for name in selected]
+    reports = [checks[name][0](args.max_weight) for name in selected]
     if args.format == "json":
         import json
         payload = {

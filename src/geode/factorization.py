@@ -33,7 +33,6 @@ from .reports import CheckGroup, Mismatch, VerificationReport
 from .series import (
     TruncatedSeries,
     TypeVector,
-    _graded_entries,
     _graded_layout,
     enumerate_types,
     mismatches_between,
@@ -54,17 +53,17 @@ class NegativeGeodeCoefficientError(ArithmeticError):
 
 def geode_series(bound: int) -> TruncatedSeries:
     """G truncated at the given edge weight, solved from the factorization."""
-    return TruncatedSeries._from_entries(bound, _geode_coefficients(bound))
+    return TruncatedSeries._from_table(bound, _geode_coefficients(bound).values())
 
 
 def _geode_coefficients(bound: int) -> dict[tuple[int, ...], int]:
     """G(k) keyed by the entry tuple of k, for every k of weight <= bound, in graded order."""
-    return _solve(zip(_graded_entries(bound), _lifted_targets(bound)))
+    return _solve(zip(_graded_layout(bound)[0], _lifted_targets(bound)))
 
 
 def _lifted_targets(bound: int) -> Iterator[int]:
-    """C(k + e_1) for each k in ``_graded_entries(bound)``: with one more edge and one more
-    m_1 than k, and as many leaves, C(k + e_1) = C(k) * (w + 1) / (k_1 + 1) in grade w."""
+    """C(k + e_1) for each k in ``_graded_layout(bound)``'s entries: with one more edge and
+    one more m_1 than k, and as many leaves, C(k + e_1) = C(k) * (w + 1) / (k_1 + 1) in grade w."""
     (entries, starts), table = _graded_layout(bound), _hyper_catalan_graded(bound)
     yield 1  # k = 0: C(e_1)
     for w in range(1, bound + 1):
@@ -82,8 +81,9 @@ def solve_factorization(
     Exposed separately so that reorderings and corrupted targets can be
     exercised directly; an order that breaks the rule raises ``ValueError``.
     """
+    order = list(order)
     solved = _solve((m.entries, targets[m]) for m in order)
-    return TruncatedSeries._from_entries(bound, solved)
+    return TruncatedSeries(bound, {m: solved[m.entries] for m in order})
 
 
 def _solve(pairs: Iterable[tuple[tuple[int, ...], int]]) -> dict[tuple[int, ...], int]:
@@ -131,9 +131,9 @@ def verify_factorization(bound: int) -> VerificationReport:
     for m, expected, actual in mismatches_between(s, recomposed):
         bucket = defining if m.multiplicity(1) else consistency
         bucket.append(Mismatch(m.text, expected, actual))
-    types = enumerate_types(bound)
-    n_defining = sum(1 for m in types if m.multiplicity(1))
-    n_consistency = sum(1 for m in types if m and not m.multiplicity(1))
+    entries = _graded_layout(bound)[0]
+    n_defining = sum(1 for e in entries if e and e[0])
+    n_consistency = len(entries) - 1 - n_defining  # less the constant term
     groups = (
         CheckGroup("constant term", 1),
         CheckGroup("defining equations (t_1 present)", n_defining, tuple(defining)),

@@ -19,9 +19,7 @@ from math import factorial, prod
 from operator import mul
 
 from .reports import CheckGroup, Mismatch, VerificationReport
-from .series import (
-    TruncatedSeries, TypeVector, _graded_layout, enumerate_types, mismatches_between
-)
+from .series import TruncatedSeries, TypeVector, _graded_layout, mismatches_between
 
 
 def hyper_catalan(m: TypeVector) -> int:
@@ -30,7 +28,7 @@ def hyper_catalan(m: TypeVector) -> int:
 
 
 def _hyper_catalan_graded(bound: int) -> tuple[int, ...]:
-    """C(m) for every m of weight <= bound, aligned with ``_graded_entries(bound)``.
+    """C(m) for every m of weight <= bound, aligned with ``_graded_layout(bound)``'s entries.
 
     Every vector of grade w has w edges, so one factorial table serves the
     whole grade: C(m) = w! / ((1 + w - sum of m_n)! * product of m_n!).
@@ -46,16 +44,16 @@ def _hyper_catalan_graded(bound: int) -> tuple[int, ...]:
 
 def hyper_catalan_series(bound: int) -> TruncatedSeries:
     """S truncated at the given edge weight: coefficient of t^m is C(m)."""
-    return TruncatedSeries(bound, {m: hyper_catalan(m) for m in enumerate_types(bound)})
+    return TruncatedSeries._from_table(bound, _hyper_catalan_graded(bound))
 
 
 def verify_functional_equation(bound: int) -> VerificationReport:
     """Check S = 1 + sum_{n>=1} t_n S^n coefficient-by-coefficient up to the bound.
 
     The right-hand side is recomposed with generic series arithmetic, so this
-    pits the closed-form coefficients against truncated multiplication.  Any
-    mismatched monomials are listed in the report; a correct implementation
-    produces none.
+    pits the closed-form table against truncated multiplication; the equation
+    determines S, so any wrong coefficient shows.  Any mismatched monomials are
+    listed in the report; a correct implementation produces none.
     """
     closed_form = hyper_catalan_series(bound)
     rhs = TruncatedSeries.one(bound)
@@ -69,5 +67,5 @@ def verify_functional_equation(bound: int) -> VerificationReport:
         Mismatch(m.text, expected, actual)
         for m, expected, actual in mismatches_between(closed_form, rhs)
     )
-    group = CheckGroup("monomials", len(enumerate_types(bound)), mismatches)
+    group = CheckGroup("monomials", len(_graded_layout(bound)[0]), mismatches)
     return VerificationReport("functional-equation", bound, (group,))

@@ -158,36 +158,25 @@ def enumerate_types(bound: int) -> list[TypeVector]:
 
     The grade of weight w is in bijection with the integer partitions of w
     (m_n = multiplicity of the part n), so the list grows by p(w) entries per
-    grade; the loop generator ``_graded_entries`` emits them in this order.
+    grade; the loop in ``_graded_layout`` emits them in this order.
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
-    return list(_graded_types(bound))
+    return list(map(TypeVector, _graded_layout(bound)[0]))
 
 
 @cache
-def _graded_types(bound: int) -> tuple[TypeVector, ...]:
-    """enumerate_types, built once per bound; a tuple, so callers cannot edit it."""
-    return tuple(map(TypeVector, _graded_entries(bound)))
-
-
-def _graded_entries(bound: int) -> tuple[tuple[int, ...], ...]:
-    """Entry tuples of every vector of weight <= bound, in graded order.
+def _graded_layout(bound: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Entry tuples of every vector of weight <= bound, in graded order, and the
+    bound + 2 starts of their grades: grade w is ``entries[starts[w]:starts[w + 1]]``.
 
     A loop over m_1 from w down to 0, then m_2, and so on: descending
     lexicographic order, the tie-break of ``grading_key``.  A remainder r that
     the next part n cannot cover (r < n) is skipped; below 2 n it is one part.
 
-    >>> _graded_entries(4)[7:]
+    >>> _graded_layout(4)[0][7:]
     ((4,), (2, 1), (1, 0, 1), (0, 2), (0, 0, 0, 1))
     """
-    return _graded_layout(bound)[0]
-
-
-@cache
-def _graded_layout(bound: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """``_graded_entries(bound)`` and the bound + 2 starts of its grades, from one loop:
-    grade w is ``entries[starts[w]:starts[w + 1]]``."""
     out: list[tuple[int, ...]] = [()]
     starts = [0, 1]  # grade 0 holds only the zero vector
     for weight in range(1, bound + 1):
@@ -252,11 +241,11 @@ class TruncatedSeries(_Value):
         return series
 
     @classmethod
-    def _from_entries(cls, bound: int, coeffs: Mapping[tuple[int, ...], int]) -> TruncatedSeries:
-        """A series from trusted coefficients keyed by trimmed entry tuples, grouped by weight."""
-        grades: _Grades = {}
-        for e, c in coeffs.items():
-            grades.setdefault(sum(map(mul, e, count(1))), {})[e] = c
+    def _from_table(cls, bound: int, values: Iterable[int]) -> TruncatedSeries:
+        """A series from trusted coefficients aligned with ``_graded_layout(bound)``'s entries."""
+        (entries, starts), values = _graded_layout(bound), iter(values)
+        # zip draws on the entries first, so each grade takes exactly its own values
+        grades = {w: dict(zip(entries[starts[w]:starts[w + 1]], values)) for w in range(bound + 1)}
         return cls._from_grades(bound, grades)
 
     @classmethod

@@ -13,7 +13,7 @@ from geode import (
     verify_marked_subdigons,
     verify_marked_trees,
 )
-from geode import cli, series
+from geode import cli, hyper_catalan_series
 from geode.factorization import _lifted_targets
 from oracles import catalan_numbers
 
@@ -70,6 +70,16 @@ def test_overdetermined_equations_hold():
         assert recomposed == hyper_catalan(m)
 
 
+def test_factorization_group_counts_match_the_types_up_to_weight_12():
+    # counted from entry tuples in the library; here from the public vectors
+    for bound in range(13):
+        types = enumerate_types(bound)
+        with_t1 = sum(1 for m in types if m.multiplicity(1))
+        without_t1 = sum(1 for m in types if m and not m.multiplicity(1))
+        report = verify_factorization(bound)
+        assert [g.checked for g in report.groups] == [1, with_t1, without_t1]
+
+
 def test_nonnegativity():
     g = geode_series(12)
     assert all(value >= 0 for _, value in g.items())
@@ -111,13 +121,15 @@ def test_geode_recurrence_and_g_table_build_no_type_vector(capsys, monkeypatch):
         init(self, entries)
 
     monkeypatch.setattr(TypeVector, "__init__", counting)
-    series._graded_types.cache_clear()  # as in a fresh process: no cached types to reuse
     g = geode_series(10)
+    s = hyper_catalan_series(10)
     assert cli.main(["g-table", "--max-weight", "10"]) == 0
     assert capsys.readouterr().out.count("\n") == len(g) + 1
     assert built == []
     g.items()  # the API boundary does build them, so the counter is live
     assert len(built) == len(g)
+    s.items()
+    assert len(built) == len(g) + len(s)
 
 
 def test_lifted_targets_match_the_formula_at_k_plus_e1_up_to_weight_20():

@@ -13,7 +13,7 @@ from geode import (
     verify_functional_equation,
 )
 from geode.hypercatalan import _hyper_catalan_graded
-from geode.series import _graded_entries, _graded_layout
+from geode.series import _graded_layout
 from oracles import catalan_numbers, partition_counts
 
 V = TypeVector
@@ -45,17 +45,25 @@ def test_division_is_exact_up_to_weight_18():
 
 
 def test_graded_table_matches_the_single_monomial_formula_up_to_weight_20():
-    table = _hyper_catalan_graded(20)
-    assert len(table) == len(_graded_entries(20))
-    assert list(table) == [hyper_catalan(V(e)) for e in _graded_entries(20)]
+    table, entries = _hyper_catalan_graded(20), _graded_layout(20)[0]
+    assert len(table) == len(entries)
+    assert list(table) == [hyper_catalan(V(e)) for e in entries]
     # a smaller bound is a prefix: the factorial table has no bound-dependent entry
-    assert all(_hyper_catalan_graded(b) == table[: len(_graded_entries(b))] for b in range(20))
+    assert all(
+        _hyper_catalan_graded(b) == table[: len(_graded_layout(b)[0])] for b in range(20)
+    )
+
+
+def test_series_matches_the_single_monomial_formula_up_to_weight_16():
+    # the per-monomial route that S was once built by, kept as a reference
+    for b in range(17):
+        expected = TruncatedSeries(b, {m: hyper_catalan(m) for m in enumerate_types(b)})
+        assert hyper_catalan_series(b) == expected
 
 
 def test_grade_starts_mark_each_grade_at_its_first_vector():
     bound = 20
     entries, starts = _graded_layout(bound)
-    assert entries is _graded_entries(bound)
     assert len(starts) == bound + 2
     assert starts[0] == 0 and starts[-1] == len(entries)
     p = partition_counts(bound)
@@ -124,11 +132,14 @@ def test_functional_equation_bound_20():
 def test_functional_equation_detects_a_corrupted_coefficient(monkeypatch, corrupt):
     # weight 1 feeds every power of S; weight 8 (the bound) reaches only the
     # left-hand side, so truncating S^n at bound - n must not hide either
-    exact = geode.hypercatalan.hyper_catalan
+    exact = geode.hypercatalan._hyper_catalan_graded
     bad = V.parse(corrupt)
-    monkeypatch.setattr(
-        geode.hypercatalan, "hyper_catalan", lambda m: exact(m) + (m == bad)
-    )
+
+    def corrupted(bound):
+        entries = _graded_layout(bound)[0]
+        return tuple(c + (e == bad.entries) for e, c in zip(entries, exact(bound)))
+
+    monkeypatch.setattr(geode.hypercatalan, "_hyper_catalan_graded", corrupted)
     report = verify_functional_equation(8)
     assert not report.passed
     assert bad.text in [mm.monomial for mm in report.groups[0].mismatches]
