@@ -257,18 +257,17 @@ def _cmd_trees(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     _require_nonnegative(args.max_weight, "--max-weight")
     checks = _checks()
-    if args.checks.strip() == "all":
-        selected = [name for name, (_, _, in_all) in checks.items() if in_all]
-    else:
-        # each check once, in the order it is first named
-        selected = list(dict.fromkeys(c.strip() for c in args.checks.split(",") if c.strip()))
-        if not selected:
-            raise _UsageError("no checks selected")
-        unknown = [c for c in selected if c not in checks]
-        if unknown:
-            raise _UsageError(
-                f"unknown checks {unknown}; valid: {', '.join(checks)}, or 'all' " + _all_text()
-            )
+    every = [name for name, (_, _, in_all) in checks.items() if in_all]
+    named = (c.strip() for c in args.checks.split(","))
+    # each 'all' stands for its checks; each check runs once, in the order it is first named
+    selected = list(dict.fromkeys(n for c in named if c for n in (every if c == "all" else [c])))
+    if not selected:
+        raise _UsageError("no checks selected")
+    unknown = [c for c in selected if c not in checks]
+    if unknown:
+        raise _UsageError(
+            f"unknown checks {unknown}; valid: {', '.join(checks)}, or 'all' " + _all_text()
+        )
     needs_enum = [c for c in selected if checks[c][1]]
     if needs_enum and args.max_weight > args.max_enum_weight:
         raise _UsageError(

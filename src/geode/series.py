@@ -13,7 +13,7 @@ hence the name.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import count, zip_longest
+from itertools import accumulate, chain, count, zip_longest
 from operator import add, attrgetter, mul
 from typing import Iterable, Mapping
 
@@ -158,7 +158,7 @@ def enumerate_types(bound: int) -> list[TypeVector]:
 
     The grade of weight w is in bijection with the integer partitions of w
     (m_n = multiplicity of the part n), so the list grows by p(w) entries per
-    grade; the loop in ``_graded_layout`` emits them in this order.
+    grade; the table of tails in ``_graded_layout`` holds them in this order.
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
@@ -170,34 +170,23 @@ def _graded_layout(bound: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, 
     """Entry tuples of every vector of weight <= bound, in graded order, and the
     bound + 2 starts of their grades: grade w is ``entries[starts[w]:starts[w + 1]]``.
 
-    A loop over m_1 from w down to 0, then m_2, and so on: descending
-    lexicographic order, the tie-break of ``grading_key``.  A remainder r that
-    the next part n cannot cover (r < n) is skipped; below 2 n it is one part.
+    A table of tails, built from the largest part down: once part n is taken,
+    ``tails[r]`` holds every trimmed (m_n, m_(n+1), ...) of weight r, m_n
+    descending first.  At n = 1 entry w is grade w, in descending
+    lexicographic order, the tie-break of ``grading_key``.
 
     >>> _graded_layout(4)[0][7:]
     ((4,), (2, 1), (1, 0, 1), (0, 2), (0, 0, 0, 1))
     """
-    out: list[tuple[int, ...]] = [()]
-    starts = [0, 1]  # grade 0 holds only the zero vector
-    for weight in range(1, bound + 1):
-        chosen, r = [weight], 0  # m_1, m_2, ... and the weight left uncovered
-        while chosen:
-            n = len(chosen) + 1  # the next part
-            if r >= 2 * n:
-                chosen.append(r // n)
-                r %= n
-                continue
-            if r == 0:
-                out.append(tuple(chosen))
-            elif r >= n:
-                out.append((*chosen, *(0,) * (r - n), 1))
-            while chosen and not chosen[-1]:  # lower the last m_n; drop spent ones
-                chosen.pop()
-            if chosen:
-                chosen[-1] -= 1
-                r += len(chosen)
-        starts.append(len(out))
-    return tuple(out), tuple(starts)
+    tails = [((),)] + [()] * bound  # with no part left, only weight 0 has a tail
+    for n in range(bound, 0, -1):
+        # tails[0] stays the empty tail, so m_n = 0 leads only nonempty ones: all trimmed
+        shorter = tails
+        tails = [((),)] + [
+            tuple((m, *t) for m in range(r // n, -1, -1) for t in shorter[r - m * n])
+            for r in range(1, bound + 1)
+        ]
+    return tuple(chain.from_iterable(tails)), (0, *accumulate(map(len, tails)))
 
 
 class TruncatedSeries(_Value):

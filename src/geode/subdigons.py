@@ -406,20 +406,17 @@ def compose_subdigon(n: int, marked: MarkedSubdigon) -> Subdigon:
     if n < 1:
         raise ValueError(f"a face needs at least one non-roof edge, got n={n}")
     # a markable edge lies on the descent to the first external face: it is
-    # one of the boundary slots that some face has before its first glued one
-    path: list[int] = []
-    face, mark = marked.subdigon, marked.mark
-    while face.slots:
-        for glued, slot in enumerate(face.slots):
-            if slot is not None:
-                break
-        else:
-            glued = len(face.slots)  # the external face; the mark is one of its slots
-        if mark < glued:
-            path.append(mark)
+    # one of the path[d] boundary slots of some face before its first glued one
+    path, face = _first_external_face(marked.subdigon)
+    mark = marked.mark
+    for d, boundary in enumerate(path):
+        if mark < boundary:
+            path[d:] = [mark]
             break
-        path.append(glued)
-        face, mark = face.slots[glued], mark - glued
+        mark -= boundary
+    else:
+        if face.slots:  # a slot of the external face; the trivial subdigon keeps ()
+            path.append(mark)
     return _replace_slot(marked.subdigon, tuple(path), _subdigon((None,) * n))
 
 

@@ -44,7 +44,8 @@ class OrderedTree(_Value):
 
     @property
     def children(self) -> tuple[OrderedTree, ...]:
-        return tuple(node for path, node in post_order(self) if len(path) == 1)
+        word = self.word
+        return tuple(_tree(word[s:e]) for path, s, e in _spans(word) if len(path) == 1)
 
     @property
     def is_leaf(self) -> bool:

@@ -238,6 +238,19 @@ def test_verify_runs_a_repeated_check_once(capsys):
     ]
 
 
+def test_verify_expands_all_among_other_checks(capsys):
+    def out(checks):
+        code, text, _ = run(capsys, "verify", "--max-weight", "4", "--checks", checks)
+        assert code == 0
+        return text
+
+    every, sums = out("all"), out("grade-sums")
+    assert "grade-sums" not in every
+    assert out("all,grade-sums") == every + sums
+    assert out("grade-sums,all") == sums + every
+    assert out("all,all") == every
+
+
 def test_verify_grade_sums(capsys):
     code, out, _ = run(capsys, "verify", "--checks", "grade-sums", "--max-weight", "6")
     assert code == 0

@@ -72,6 +72,9 @@ def test_grade_starts_mark_each_grade_at_its_first_vector():
         assert grade[0] == ((w,) if w else ())  # t_1^w leads its grade
         assert len(grade) == p[w]
         assert {V(e).edge_weight for e in grade} == {w}
+        # raw tuples: TypeVector would trim a trailing zero silently
+        assert all(not e or e[-1] for e in grade)
+        assert all(a > b for a, b in zip(grade, grade[1:]))  # strictly descending
 
 
 def test_series_small_bounds():

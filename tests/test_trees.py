@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -276,6 +278,19 @@ def test_root_decompose_examples():
     ]
     with pytest.raises(ValueError):
         root_decompose(LEAF)
+
+
+def test_root_decompose_of_a_deep_chain_is_linear():
+    # children reads the root's spans only, not every subtree of the chain
+    chain = OrderedTree.parse("(" * 5000 + "()" + ")" * 5000)
+    tracemalloc.start()
+    try:
+        parts = root_decompose(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parts == [OrderedTree.parse("(" * 4999 + "()" + ")" * 4999)]
+    assert peak < 10_000_000
 
 
 def test_root_decompose_type_bookkeeping():
