@@ -17,6 +17,7 @@ import sys
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .factorization import (
+    _counted,
     _geode_coefficients,
     verify_factorization,
     verify_grade_sums,
@@ -59,7 +60,10 @@ class _UsageError(Exception):
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        _require_nonnegative(args.max_enum_weight, "--max-enum-weight")
+        for dest in ("max_enum_weight", "max_weight"):  # each bound the command has
+            value = getattr(args, dest, 0)
+            if value < 0:
+                raise _UsageError(f"--{dest.replace('_', '-')} must be nonnegative, got {value}")
         code = args.handler(args)
         sys.stdout.flush()  # a buffered stdout meets a closed pipe here, not at exit
         return code
@@ -121,6 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("g-table", help="Geode coefficient table")
     _add_common_flags(p)
+    _add_bound(
+        p, "--max-enum-weight", DEFAULT_MAX_ENUM_WEIGHT, "refuse exhaustive enumeration above"
+    )
     p.add_argument(
         "--with-counts",
         action="store_true",
@@ -177,9 +184,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         default="csv",
         help="output format (default %(default)s)",
     )
-    _add_bound(
-        p, "--max-enum-weight", DEFAULT_MAX_ENUM_WEIGHT, "refuse exhaustive enumeration above"
-    )
 
 
 def _add_bound(p: argparse.ArgumentParser, flag: str, default: int, what: str) -> None:
@@ -190,7 +194,6 @@ def _add_bound(p: argparse.ArgumentParser, flag: str, default: int, what: str) -
 
 
 def _cmd_s_table(args: argparse.Namespace) -> int:
-    _require_nonnegative(args.max_weight, "--max-weight")
     pairs = zip(_graded_layout(args.max_weight)[0], _hyper_catalan_graded(args.max_weight))
     if args.no_bigons:
         pairs = ((e, c) for e, c in pairs if not e or not e[0])
@@ -199,28 +202,19 @@ def _cmd_s_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_g_table(args: argparse.Namespace) -> int:
-    _require_nonnegative(args.max_weight, "--max-weight")
-    if args.with_counts and args.max_weight > args.max_enum_weight:
-        raise _UsageError(
-            f"--with-counts enumerates every tree and subdigon, refusing above "
-            f"edge weight {args.max_enum_weight}; raise --max-enum-weight to force"
-        )
-    g = _geode_coefficients(args.max_weight)
-    rows = _rows(g.items(), args.max_weight)
     columns = ["monomial", "coefficient"]
     if not args.with_counts:
-        _emit_table(rows, columns, args.format)
+        g = _geode_coefficients(args.max_weight)
+        _emit_table(_rows(g.items(), args.max_weight), columns, args.format)
         return 0
-    columns += ["marked_trees", "marked_subdigons"]
-    counted, bad = [], []
-    for (text, value), m in zip(rows, map(TypeVector, g)):
-        mt, ms = count_marked_trees(m), count_marked_subdigons(m)
-        counted.append((text, value, mt, ms))
-        if not value == mt == ms:
-            bad.append(text)
-    _emit_table(counted, columns, args.format)
+    _refuse_enumeration(args, args.max_weight, "--with-counts enumerates every tree and subdigon")
+    # the counts are looked up here, so a count patched onto this module is the one that runs
+    counted = _counted(args.max_weight, (count_marked_trees, count_marked_subdigons))
+    rows = [(m.text, *values) for m, *values in counted]
+    _emit_table(rows, columns + ["marked_trees", "marked_subdigons"], args.format)
+    bad = [f"[{text}]" for text, g, mt, ms in rows if not g == mt == ms]
     if bad:
-        _warn("count mismatch at monomials: " + ", ".join(f"[{b}]" for b in bad) + "\n")
+        _warn("count mismatch at monomials: " + ", ".join(bad) + "\n")
         return 1
     return 0
 
@@ -237,11 +231,7 @@ def _cmd_trees(args: argparse.Namespace) -> int:
         m = TypeVector.parse(args.type_text)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    if m.edge_weight > args.max_enum_weight:
-        raise _UsageError(
-            f"type [{m.text}] has edge weight {m.edge_weight}, refusing above "
-            f"{args.max_enum_weight}; raise --max-enum-weight to force"
-        )
+    _refuse_enumeration(args, m.edge_weight, f"type [{m.text}] has edge weight {m.edge_weight}")
     lines = []
     for tree in enumerate_trees(m):
         text = tree.serialize()
@@ -255,7 +245,6 @@ def _cmd_trees(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _require_nonnegative(args.max_weight, "--max-weight")
     checks = _checks()
     every = [name for name, (_, _, in_all) in checks.items() if in_all]
     named = (c.strip() for c in args.checks.split(","))
@@ -269,11 +258,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"unknown checks {unknown}; valid: {', '.join(checks)}, or 'all' " + _all_text()
         )
     needs_enum = [c for c in selected if checks[c][1]]
-    if needs_enum and args.max_weight > args.max_enum_weight:
-        raise _UsageError(
-            f"{', '.join(needs_enum)} enumerate exhaustively, refusing above "
-            f"edge weight {args.max_enum_weight}; raise --max-enum-weight to force"
-        )
+    if needs_enum:
+        what = f"{', '.join(needs_enum)} enumerate exhaustively"
+        _refuse_enumeration(args, args.max_weight, what)
     reports = [checks[name][0](args.max_weight) for name in selected]
     if args.format == "json":
         import json
@@ -288,9 +275,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _require_nonnegative(value: int, flag: str) -> None:
-    if value < 0:
-        raise _UsageError(f"{flag} must be nonnegative, got {value}")
+def _refuse_enumeration(args: argparse.Namespace, weight: int, what: str) -> None:
+    """The one --max-enum-weight gate: no exhaustive enumeration above the limit."""
+    limit = args.max_enum_weight
+    if weight > limit:
+        raise _UsageError(
+            f"{what}, refusing above edge weight {limit}; raise --max-enum-weight to force"
+        )
 
 
 def _emit_table(rows: Iterable[tuple], columns: list[str], fmt: str) -> None:

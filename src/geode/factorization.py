@@ -26,7 +26,7 @@ numbers from the classical convolution recurrence, not the hyper-Catalan formula
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .hypercatalan import _hyper_catalan_graded, hyper_catalan_series
 from .reports import CheckGroup, Mismatch, VerificationReport
@@ -34,7 +34,6 @@ from .series import (
     TruncatedSeries,
     TypeVector,
     _graded_layout,
-    enumerate_types,
     mismatches_between,
     sum_of_variables,
 )
@@ -193,13 +192,16 @@ def verify_marked_subdigons(bound: int) -> VerificationReport:
 def _verify_counts(
     name: str, label: str, count: Callable[[TypeVector], int], bound: int
 ) -> VerificationReport:
-    g = geode_series(bound)
-    mismatches = []
-    types = enumerate_types(bound)
-    for m in types:
-        expected = g.coefficient(m)
-        actual = count(m)
-        if expected != actual:
-            mismatches.append(Mismatch(m.text, expected, actual))
-    group = CheckGroup(f"coefficients vs {label} counts", len(types), tuple(mismatches))
+    rows = _counted(bound, (count,))
+    mismatches = tuple(Mismatch(m.text, g, c) for m, g, c in rows if g != c)
+    group = CheckGroup(f"coefficients vs {label} counts", len(rows), mismatches)
     return VerificationReport(name, bound, (group,))
+
+
+def _counted(bound: int, counts: Sequence[Callable[[TypeVector], int]]) -> list[tuple]:
+    """(m, G(m), *[count(m) for count in counts]) for every type m up to the bound, graded."""
+    g = _geode_coefficients(bound)
+    return [
+        (m, value, *[count(m) for count in counts])
+        for m, value in zip(map(TypeVector, g), g.values())
+    ]

@@ -464,14 +464,15 @@ def verify_bijections(bound: int) -> VerificationReport:
                 got_tree.add((n, marked.tree, marked.mark))
         for s in subs:
             t = subdigon_to_tree(s)
-            if _reuse(images, t, tree_to_subdigon) == s and _degree_counts(t.word) == entries:
+            # under a corrupted map, t may be a tree the tree side never reached
+            if (images.get(t) or tree_to_subdigon(t)) == s and _degree_counts(t.word) == entries:
                 mapped += 1
             if entries:
                 n, marked = decompose_subdigon(s)
                 if compose_subdigon(n, marked) == s:
                     restored += 1
                 got_sub.add((n, marked.subdigon, marked.mark))
-                n_tree, marked_tree = _reuse(decompositions, t, decompose_tree)
+                n_tree, marked_tree = decompositions.get(t) or decompose_tree(t)
                 if (
                     n_tree == n
                     and marked_tree.tree == subdigon_to_tree(marked.subdigon)
@@ -512,12 +513,6 @@ def verify_bijections(bound: int) -> VerificationReport:
         tally.group() for tally in (roundtrip, counts, strip, coverage, square)
     )
     return VerificationReport("bijections", bound, groups)
-
-
-def _reuse(results: dict, key, compute):
-    """results[key], or compute(key) for a key the enumerated side never reached."""
-    value = results.get(key)
-    return compute(key) if value is None else value
 
 
 class _Tally:

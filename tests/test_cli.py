@@ -17,6 +17,7 @@ from geode import (
     enumerate_marked_trees,
     enumerate_trees,
     enumerate_types,
+    factorization,
     geode_series,
     hyper_catalan_series,
 )
@@ -105,11 +106,60 @@ def test_g_table_refuses_counts_before_building_g(capsys, monkeypatch):
     def unreachable(bound):
         raise AssertionError("the Geode recurrence ran before the --with-counts gate")
 
+    # the plain table solves G through cli's name, the counted rows through factorization's
     monkeypatch.setattr(cli, "_geode_coefficients", unreachable)
+    monkeypatch.setattr(factorization, "_geode_coefficients", unreachable)
     code, out, err = run(capsys, "g-table", "--max-weight", "34", "--with-counts")
     assert code == 2
     assert out == ""
     assert "refusing" in err
+
+
+def test_a_corrupted_geode_reaches_every_counted_route(capsys, monkeypatch):
+    solve = factorization._geode_coefficients
+
+    def corrupted(bound):
+        g = dict(solve(bound))
+        g[(1, 1)] += 1  # G(1,1) = 5 becomes 6
+        return g
+
+    monkeypatch.setattr(factorization, "_geode_coefficients", corrupted)
+    for check in ("marked-trees", "marked-subdigons"):
+        code, out, _ = run(capsys, "verify", "--checks", check, "--max-weight", "4")
+        assert code == 1
+        assert "    [1,1]: expected 6, got 5" in out.splitlines()
+        assert out.count("expected") == 1
+    code, _, err = run(capsys, "g-table", "--max-weight", "4", "--with-counts")
+    assert code == 1
+    assert err == "count mismatch at monomials: [1,1]\n"
+
+    monkeypatch.setattr(factorization, "_geode_coefficients", solve)
+    count = factorization.count_marked_subdigons
+    monkeypatch.setattr(factorization, "count_marked_subdigons", lambda m: count(m) + 1)
+    argv = ["verify", "--checks", "marked-trees,marked-subdigons", "--max-weight", "4"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    passed = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert passed == {"marked-trees": True, "marked-subdigons": False}
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        ("g-table --max-weight 11 --with-counts",
+         "--with-counts enumerates every tree and subdigon"),
+        ("trees --type 0,0,0,0,0,0,0,0,0,0,1",
+         "type [0,0,0,0,0,0,0,0,0,0,1] has edge weight 11"),
+        ("verify --checks marked-trees --max-weight 12",
+         "marked-trees enumerate exhaustively"),
+    ],
+)
+def test_one_gate_refuses_every_enumeration(capsys, argv, what):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {what}, refusing above edge weight 10; raise --max-enum-weight to force\n"
+    )
 
 
 def test_trees_listing(capsys):
@@ -326,15 +376,19 @@ def test_verify_gates_enumeration_checks(capsys):
 
 
 def test_bad_flags_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["s-table", "--bogus"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["s-table", "--max-weight", "notanint"])
-    assert exc.value.code == 2
+    for argv in [
+        ["s-table", "--bogus"],
+        ["s-table", "--max-weight", "notanint"],
+        ["s-table", "--max-enum-weight", "3"],  # s-table enumerates nothing
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     for argv in [
         ("s-table", "--max-weight", "-1"),
         ("trees", "--type", "1", "--max-enum-weight", "-1"),
+        ("g-table", "--max-enum-weight", "-1"),
+        ("verify", "--max-enum-weight", "-1"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 2
