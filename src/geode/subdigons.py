@@ -37,7 +37,6 @@ from .hypercatalan import hyper_catalan
 from .reports import CheckGroup, Mismatch, VerificationReport
 from .series import TypeVector, _trimmed, _Value, enumerate_types
 from .trees import (
-    MarkedTree,
     OrderedTree,
     Path,
     Word,
@@ -380,7 +379,8 @@ def decompose_subdigon(sub: Subdigon) -> tuple[int, MarkedSubdigon]:
         raise ValueError("the trivial subdigon has no face to delete")
     path, face = _first_external_face(sub)
     stripped = _replace_slot(sub, tuple(path), None) or TRIVIAL
-    return len(face.slots), MarkedSubdigon(stripped, sum(path))
+    # the face's former roof is met at or before it: a markable edge by construction
+    return len(face.slots), _marked_subdigon(stripped, sum(path))
 
 
 def _replace_slot(
@@ -439,8 +439,9 @@ def verify_bijections(bound: int) -> VerificationReport:
 
     # each map runs once per object: the subdigon side reuses the tree side's
     # images and decompositions by tree, and each reduced type's marked lists
-    # are enumerated once for every heavier type
-    marked_lists: dict[TypeVector, tuple[list[MarkedTree], list[MarkedSubdigon]]] = {}
+    # are enumerated once for every heavier type.  Objects are kept as their
+    # words (a subdigon's is its equality key), so sets and dicts hash tuples.
+    marked_lists: dict[TypeVector, tuple[list[tuple[Word, int]], list[tuple[Word, int]]]] = {}
 
     for m in enumerate_types(bound):
         entries = m.entries  # the types are compared as these count tuples
@@ -448,36 +449,41 @@ def verify_bijections(bound: int) -> VerificationReport:
         subs = enumerate_subdigons(m)
         counts.add(m, 2 * hyper_catalan(m), len(trees) + len(subs))
 
-        images: dict[OrderedTree, Subdigon] = {}
-        decompositions: dict[OrderedTree, tuple[int, MarkedTree]] = {}
-        got_tree: set[tuple[int, OrderedTree, int]] = set()
-        got_sub: set[tuple[int, Subdigon, int]] = set()
+        images: dict[Word, Word] = {}
+        decompositions: dict[Word, tuple[int, Word, int]] = {}
+        got_tree: set[tuple[int, Word, int]] = set()
+        got_sub: set[tuple[int, Word, int]] = set()
         mapped = restored = commuting = 0
         for t in trees:
-            s = images[t] = tree_to_subdigon(t)
-            if subdigon_to_tree(s) == t and _face_counts(s) == entries:
+            word = t.word
+            s = tree_to_subdigon(t)
+            if subdigon_to_tree(s).word == word and _face_counts(s) == entries:
                 mapped += 1
+            images[word] = s._key
             if entries:  # the one-node tree has nothing to delete
-                n, marked = decompositions[t] = decompose_tree(t)
-                if compose_tree(n, marked) == t:
+                n, marked = decompose_tree(t)
+                if compose_tree(n, marked).word == word:
                     restored += 1
-                got_tree.add((n, marked.tree, marked.mark))
+                decompositions[word] = got = (n, marked.tree.word, marked.mark)
+                got_tree.add(got)
         for s in subs:
+            key = s._key
             t = subdigon_to_tree(s)
+            word = t.word
             # under a corrupted map, t may be a tree the tree side never reached
-            if (images.get(t) or tree_to_subdigon(t)) == s and _degree_counts(t.word) == entries:
+            image = images.get(word) or tree_to_subdigon(t)._key
+            if image == key and _degree_counts(word) == entries:
                 mapped += 1
             if entries:
                 n, marked = decompose_subdigon(s)
-                if compose_subdigon(n, marked) == s:
+                if compose_subdigon(n, marked)._key == key:
                     restored += 1
-                got_sub.add((n, marked.subdigon, marked.mark))
-                n_tree, marked_tree = decompositions.get(t) or decompose_tree(t)
-                if (
-                    n_tree == n
-                    and marked_tree.tree == subdigon_to_tree(marked.subdigon)
-                    and marked_tree.mark == marked.mark
-                ):
+                got_sub.add((n, marked.subdigon._key, marked.mark))
+                if word not in decompositions:
+                    n_tree, marked_tree = decompose_tree(t)
+                    decompositions[word] = (n_tree, marked_tree.tree.word, marked_tree.mark)
+                induced = n, subdigon_to_tree(marked.subdigon).word, marked.mark
+                if decompositions[word] == induced:
                     commuting += 1
         roundtrip.add(m, len(trees) + len(subs), mapped)
         if not entries:
@@ -491,15 +497,12 @@ def verify_bijections(bound: int) -> VerificationReport:
         ]
         for _, k in reduced:
             if k not in marked_lists:
-                marked_lists[k] = enumerate_marked_trees(k), enumerate_marked_subdigons(k)
-        want_tree = {
-            (n, marked.tree, marked.mark) for n, k in reduced for marked in marked_lists[k][0]
-        }
-        want_sub = {
-            (n, marked.subdigon, marked.mark)
-            for n, k in reduced
-            for marked in marked_lists[k][1]
-        }
+                marked_lists[k] = (
+                    [(x.tree.word, x.mark) for x in enumerate_marked_trees(k)],
+                    [(x.subdigon._key, x.mark) for x in enumerate_marked_subdigons(k)],
+                )
+        want_tree = {(n, *pair) for n, k in reduced for pair in marked_lists[k][0]}
+        want_sub = {(n, *pair) for n, k in reduced for pair in marked_lists[k][1]}
         coverage.add(
             m,
             len(want_tree) + len(want_sub),

@@ -280,7 +280,8 @@ def _first_claw(word: Word) -> int | None:
     the first nonzero letter whose next word[i] letters are all leaves.
     """
     for i, degree in enumerate(word):
-        if degree and not any(word[i + 1 : i + 1 + degree]):
+        # most internal nodes have an internal first child: reject them unsliced
+        if degree and not word[i + 1] and not any(word[i + 2 : i + 1 + degree]):
             return i
     return None
 
@@ -330,7 +331,7 @@ def decompose_tree(tree: OrderedTree) -> tuple[int, MarkedTree]:
         raise ValueError("the single-node tree has no clawed node to strip")
     n = word[i]
     stripped = _tree(word[:i] + (0,) + word[i + 1 + n :])
-    return n, MarkedTree(stripped, word[:i].count(0))
+    return n, _marked_tree(stripped, word[:i].count(0))  # an initial leaf by construction
 
 
 def compose_tree(n: int, marked: MarkedTree) -> OrderedTree:
@@ -338,7 +339,9 @@ def compose_tree(n: int, marked: MarkedTree) -> OrderedTree:
     if n < 1:
         raise ValueError(f"child count must be positive, got {n}")
     word = marked.tree.word
-    i = [j for j, degree in enumerate(word) if not degree][marked.mark]
+    i = -1
+    for _ in range(marked.mark + 1):  # step to the mark-th leaf
+        i = word.index(0, i + 1)
     return _tree(word[:i] + (n,) + (0,) * n + word[i + 1 :])
 
 

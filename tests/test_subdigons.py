@@ -219,10 +219,15 @@ def test_marked_enumeration_counts_markable_edges_once_per_subdigon(monkeypatch)
     assert seen == enumerate_subdigons(m)
     assert len(marked) == count_marked_subdigons(m)
     assert all(MarkedSubdigon(x.subdigon, x.mark) == x for x in marked)
-    # the public constructor, and so the decompose map, still checks the mark
-    monkeypatch.setattr(subdigons_module, "count_initial_external_edges", lambda sub: 0)
-    with pytest.raises(ValueError):
-        decompose_subdigon(TRIANGLE)
+    # decompose_subdigon builds its result unchecked; the public constructor
+    # accepts every mark it makes and still rejects a bad one
+    for k in enumerate_types(7)[1:]:  # the zero type has nothing to decompose
+        for sub in enumerate_subdigons(k):
+            _, marked = decompose_subdigon(sub)
+            assert MarkedSubdigon(marked.subdigon, marked.mark) == marked
+    for bad in (-1, 2):
+        with pytest.raises(ValueError):
+            MarkedSubdigon(TRIANGLE, bad)
 
 
 def test_count_marked_subdigons_examples():
@@ -364,6 +369,53 @@ def test_verify_bijections_detects_a_corrupted_structure_map(monkeypatch):
     assert _failing_groups(verify_bijections(4)) == {
         "structure maps invert each other and preserve type"
     }
+
+
+def test_verify_bijections_detects_a_corrupted_inverse_structure_map(monkeypatch):
+    real = subdigons_module.subdigon_to_tree
+    target = Subdigon.parse("((())())")
+    wrong = OrderedTree.parse("(()(()))")  # the same type, another tree
+
+    def corrupted(sub):
+        return wrong if sub == target else real(sub)
+
+    monkeypatch.setattr(subdigons_module, "subdigon_to_tree", corrupted)
+    assert "structure maps invert each other and preserve type" in _failing_groups(
+        verify_bijections(4)
+    )
+
+
+def test_verify_bijections_runs_each_map_once_per_object(monkeypatch):
+    calls = dict.fromkeys(
+        [
+            "tree_to_subdigon",
+            "subdigon_to_tree",
+            "decompose_tree",
+            "compose_tree",
+            "decompose_subdigon",
+            "compose_subdigon",
+        ],
+        0,
+    )
+
+    def counted(name):
+        real = getattr(subdigons_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(subdigons_module, name, counted(name))
+    assert verify_bijections(6).passed
+    trees = sum(hyper_catalan(m) for m in enumerate_types(6))
+    assert trees == 197
+    assert calls.pop("tree_to_subdigon") == trees
+    assert calls.pop("subdigon_to_tree") >= 2 * trees
+    # the one-node tree and the trivial subdigon have nothing to decompose
+    assert calls == dict.fromkeys(calls, trees - 1)
 
 
 def test_verify_bijections_detects_a_wrong_mark_from_deletion(monkeypatch):

@@ -202,10 +202,16 @@ def test_marked_enumeration_counts_initial_leaves_once_per_tree(monkeypatch):
     assert seen == enumerate_trees(m)
     assert len(marked) == count_marked_trees(m)
     assert all(MarkedTree(x.tree, x.mark) == x for x in marked)
-    # the public constructor, and so the decompose map, still checks the mark
-    monkeypatch.setattr(trees_module, "count_initial_leaves", lambda tree: 0)
-    with pytest.raises(ValueError):
-        decompose_tree(OrderedTree.parse("(()())"))
+    # decompose_tree builds its result unchecked; the public constructor
+    # accepts every mark it makes and still rejects a bad one
+    for k in enumerate_types(7)[1:]:  # the zero type has nothing to decompose
+        for tree in enumerate_trees(k):
+            _, marked = decompose_tree(tree)
+            assert MarkedTree(marked.tree, marked.mark) == marked
+    cherry = OrderedTree.parse("(()())")
+    for bad in (-1, 2):
+        with pytest.raises(ValueError):
+            MarkedTree(cherry, bad)
 
 
 def test_marked_tree_text_forms():
