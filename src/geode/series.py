@@ -12,7 +12,7 @@ hence the name.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache
 from itertools import accumulate, chain, count, zip_longest
 from operator import add, attrgetter, mul
 from typing import Iterable, Mapping
@@ -21,17 +21,23 @@ _Grades = dict[int, dict[tuple[int, ...], int]]  # weight -> {entries: coefficie
 
 
 class _Value:
-    """Immutable value: setting any attribute raises, and equality and hash go by ``_key``.
+    """Immutable value: setting any attribute raises, equality and hash go by
+    ``_key``, and copy and pickle restore the slots through ``_restore``.
 
-    A subclass sets its fields with ``object.__setattr__`` or through its slots'
-    member descriptors, and names its ``_key``; values of different classes never
-    compare equal.
+    A subclass keeps its fields in ``__slots__``, sets them with
+    ``object.__setattr__`` or through its slots' member descriptors, and names
+    its ``_key``; values of different classes never compare equal.
     """
 
     __slots__ = ()
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self) -> tuple:
+        # the default would restore the slots through __setattr__; an unset slot stays unset
+        cls = type(self)
+        return _restore, (cls, {n: getattr(self, n) for n in cls.__slots__ if hasattr(self, n)})
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -40,6 +46,14 @@ class _Value:
 
     def __hash__(self) -> int:
         return hash(self._key)
+
+
+def _restore(cls: type[_Value], fields: dict[str, object]) -> _Value:
+    """The value of class ``cls`` with these slot fields, set past ``__setattr__``."""
+    value = object.__new__(cls)
+    for name, field in fields.items():
+        object.__setattr__(value, name, field)
+    return value
 
 
 class TypeVector(_Value):
@@ -51,6 +65,7 @@ class TypeVector(_Value):
     the empty string denoting the zero vector, e.g. "2,3,2,1".
     """
 
+    __slots__ = ("entries",)
     entries: tuple[int, ...]
 
     def __init__(self, entries: Iterable[int] = ()) -> None:
@@ -109,7 +124,7 @@ class TypeVector(_Value):
     def __bool__(self) -> bool:
         return bool(self.entries)
 
-    @cached_property
+    @property
     def edge_weight(self) -> int:
         """Sum of n * m_n; the number of edges of a tree of this type."""
         return sum(map(mul, self.entries, count(1)))
@@ -160,8 +175,6 @@ def enumerate_types(bound: int) -> list[TypeVector]:
     (m_n = multiplicity of the part n), so the list grows by p(w) entries per
     grade; the table of tails in ``_graded_layout`` holds them in this order.
     """
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
     return list(map(TypeVector, _graded_layout(bound)[0]))
 
 
@@ -178,6 +191,8 @@ def _graded_layout(bound: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, 
     >>> _graded_layout(4)[0][7:]
     ((4,), (2, 1), (1, 0, 1), (0, 2), (0, 0, 0, 1))
     """
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
     tails = [((),)] + [()] * bound  # with no part left, only weight 0 has a tail
     for n in range(bound, 0, -1):
         # tails[0] stays the empty tail, so m_n = 0 leads only nonempty ones: all trimmed
@@ -216,10 +231,6 @@ class TruncatedSeries(_Value):
                 grades.setdefault(m.edge_weight, {})[m.entries] = value
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "_grades", grades)
-
-    def __reduce__(self) -> tuple:
-        # copy and pickle would restore the slots through __setattr__
-        return TruncatedSeries._from_grades, (self.bound, self._grades)
 
     @classmethod
     def _from_grades(cls, bound: int, grades: _Grades) -> TruncatedSeries:
@@ -268,14 +279,11 @@ class TruncatedSeries(_Value):
     def __len__(self) -> int:
         return sum(map(len, self._grades.values()))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.bound == other.bound and self._grades == other._grades
-
-    def __hash__(self) -> int:
+    @property
+    def _key(self) -> tuple[int, frozenset[tuple[tuple[int, ...], int]]]:
+        # an entry tuple has exactly one weight, so the terms need no grade
         terms = (term for grade in self._grades.values() for term in grade.items())
-        return hash((self.bound, frozenset(terms)))
+        return self.bound, frozenset(terms)
 
     def _check_bound(self, other: TruncatedSeries) -> None:
         if self.bound != other.bound:

@@ -86,10 +86,6 @@ class Subdigon(_Value):
                 raise ValueError("a glued slot must hold a face; boundary edges are None")
         _set_slots(self, slots)
 
-    def __reduce__(self) -> tuple:
-        # copy and pickle would restore the slots through __setattr__
-        return _subdigon, (self.slots,)
-
     @property
     def _key(self) -> Word:
         word = getattr(self, "_word", None)  # an unset slot reads as the default
@@ -160,10 +156,6 @@ class MarkedSubdigon(_Value):
         _set_mark(self, mark)
 
     _key = property(attrgetter("subdigon", "mark"))
-
-    def __reduce__(self) -> tuple:
-        # copy and pickle would restore the slots through __setattr__
-        return _marked_subdigon, (self.subdigon, self.mark)
 
     def __repr__(self) -> str:
         return f"MarkedSubdigon(subdigon={self.subdigon!r}, mark={self.mark!r})"

@@ -38,10 +38,6 @@ class OrderedTree(_Value):
 
     _key = property(attrgetter("word"))
 
-    def __reduce__(self) -> tuple:
-        # copy and pickle would restore the slot through __setattr__
-        return _tree, (self.word,)
-
     @property
     def children(self) -> tuple[OrderedTree, ...]:
         word = self.word
@@ -150,10 +146,6 @@ class MarkedTree(_Value):
         _set_mark(self, mark)
 
     _key = property(attrgetter("tree", "mark"))
-
-    def __reduce__(self) -> tuple:
-        # copy and pickle would restore the slots through __setattr__
-        return _marked_tree, (self.tree, self.mark)
 
     def serialize(self) -> str:
         return _mark_text(self.tree.serialize(), self.mark)

@@ -9,7 +9,10 @@ from geode import (
     grading_key,
     hyper_catalan,
     solve_factorization,
+    verify_bijections,
     verify_factorization,
+    verify_functional_equation,
+    verify_grade_sums,
     verify_marked_subdigons,
     verify_marked_trees,
 )
@@ -197,3 +200,23 @@ def test_series_support_is_every_type():
     g = geode_series(bound)
     assert g.support() == sorted(enumerate_types(bound), key=grading_key)
     assert all(value >= 1 for _, value in g.items())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        verify_functional_equation,
+        verify_factorization,
+        verify_grade_sums,
+        verify_marked_trees,
+        verify_marked_subdigons,
+        verify_bijections,
+        geode_series,
+        hyper_catalan_series,
+        enumerate_types,
+    ],
+)
+def test_a_negative_bound_is_a_value_error(build):
+    # every route reads the one type index, which rejects the bound itself
+    with pytest.raises(ValueError, match="^bound must be nonnegative, got -1$"):
+        build(-1)

@@ -18,6 +18,7 @@ from geode import (
     VerificationReport,
     hyper_catalan_series,
 )
+from geode.series import _Value
 
 
 def group():
@@ -109,6 +110,41 @@ def test_values_copy_and_pickle(name):
 def test_tree_and_subdigon_values_keep_no_instance_dict(name):
     # verify_bijections keeps thousands of marked trees and subdigons alive
     assert not hasattr(VALUES[name][0](), "__dict__")
+
+
+def unhashed_subdigon():
+    sub = Subdigon.parse("((())(()()))")
+    assert not hasattr(sub, "_word")  # its word is computed on the first compare or hash
+    return sub
+
+
+def hashed_subdigon():
+    sub = unhashed_subdigon()
+    hash(sub)
+    return sub
+
+
+# every _Value class, and a subdigon both before and after it caches its word
+RESTORED = {
+    **{name: VALUES[name][0] for name in VALUES if isinstance(VALUES[name][1], _Value)},
+    "Subdigon unhashed": unhashed_subdigon,
+    "Subdigon hashed": hashed_subdigon,
+}
+
+
+@pytest.mark.parametrize("name", RESTORED)
+def test_values_restore_their_slots_through_every_protocol_and_copy(name):
+    value = RESTORED[name]()
+    restored = [copy.copy(value), copy.deepcopy(value)]
+    restored += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    assert not hasattr(value, "__dict__")
+    set_slots = [slot for slot in type(value).__slots__ if hasattr(value, slot)]
+    for other in restored:
+        assert type(other) is type(value) and not hasattr(other, "__dict__")
+        # checked before any compare: an unset slot, such as an uncached word, stays unset
+        assert [slot for slot in type(other).__slots__ if hasattr(other, slot)] == set_slots
+    for other in restored:
+        assert other == value and hash(other) == hash(value)
 
 
 @pytest.mark.parametrize("name", VALUES)
