@@ -14,42 +14,29 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import Callable, Iterable, Sequence, TextIO
-
-from .factorization import (
-    _counted,
-    _geode_coefficients,
-    verify_factorization,
-    verify_grade_sums,
-    verify_marked_subdigons,
-    verify_marked_trees,
-)
-from .hypercatalan import _hyper_catalan_graded, verify_functional_equation
-from .reports import VerificationReport
-from .series import TypeVector, _graded_layout
-from .subdigons import count_marked_subdigons, verify_bijections
-from .trees import _mark_text, count_initial_leaves, count_marked_trees, enumerate_trees
+from importlib import import_module
+from typing import Iterable, Sequence, TextIO
 
 DEFAULT_MAX_WEIGHT = 8
 DEFAULT_MAX_ENUM_WEIGHT = 10
 
 
-def _checks() -> dict[str, tuple[Callable[[int], VerificationReport], bool, bool]]:
-    """Each check: name -> (runner, enumerates exhaustively, run by 'all')."""
-    # looked up per call, so a runner patched onto this module is the one that runs
-    return {
-        "functional-eq": (verify_functional_equation, False, True),
-        "factorization": (verify_factorization, False, True),
-        "marked-trees": (verify_marked_trees, True, True),
-        "marked-subdigons": (verify_marked_subdigons, True, True),
-        "bijections": (verify_bijections, True, True),
-        "grade-sums": (verify_grade_sums, False, False),
-    }
+# Each check: name -> (module, runner, enumerates exhaustively, run by 'all').  The runner is
+# looked up on its module when the check runs, so the parser loads no check module and a
+# runner patched onto its module is the one that runs.
+_CHECKS = {
+    "functional-eq": ("hypercatalan", "verify_functional_equation", False, True),
+    "factorization": ("factorization", "verify_factorization", False, True),
+    "marked-trees": ("factorization", "verify_marked_trees", True, True),
+    "marked-subdigons": ("factorization", "verify_marked_subdigons", True, True),
+    "bijections": ("subdigons", "verify_bijections", True, True),
+    "grade-sums": ("factorization", "verify_grade_sums", False, False),
+}
 
 
 def _all_text() -> str:
     """What 'all' covers, for the help and the unknown-check message."""
-    outside = [name for name, (_, _, in_all) in _checks().items() if not in_all]
+    outside = [name for name, (*_, in_all) in _CHECKS.items() if not in_all]
     return "for every check but " + ", ".join(outside)
 
 
@@ -159,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--checks",
         default="all",
         metavar="LIST",
-        help=f"comma-separated subset of {{{','.join(_checks())}}}, or 'all' (default) "
+        help=f"comma-separated subset of {{{','.join(_CHECKS)}}}, or 'all' (default) "
         + _all_text(),
     )
     p.add_argument(
@@ -194,6 +181,9 @@ def _add_bound(p: argparse.ArgumentParser, flag: str, default: int, what: str) -
 
 
 def _cmd_s_table(args: argparse.Namespace) -> int:
+    from .hypercatalan import _hyper_catalan_graded
+    from .series import _graded_layout
+
     pairs = zip(_graded_layout(args.max_weight)[0], _hyper_catalan_graded(args.max_weight))
     if args.no_bigons:
         pairs = ((e, c) for e, c in pairs if not e or not e[0])
@@ -202,13 +192,18 @@ def _cmd_s_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_g_table(args: argparse.Namespace) -> int:
+    from .factorization import _counted, _geode_coefficients
+
     columns = ["monomial", "coefficient"]
     if not args.with_counts:
         g = _geode_coefficients(args.max_weight)
         _emit_table(_rows(g.items(), args.max_weight), columns, args.format)
         return 0
     _refuse_enumeration(args, args.max_weight, "--with-counts enumerates every tree and subdigon")
-    # the counts are looked up here, so a count patched onto this module is the one that runs
+    # past the gate, so only --with-counts loads trees and subdigons
+    from .subdigons import count_marked_subdigons
+    from .trees import count_marked_trees
+
     counted = _counted(args.max_weight, (count_marked_trees, count_marked_subdigons))
     rows = [(m.text, *values) for m, *values in counted]
     _emit_table(rows, columns + ["marked_trees", "marked_subdigons"], args.format)
@@ -227,6 +222,9 @@ def _rows(pairs: Iterable[tuple[tuple[int, ...], int]], bound: int) -> Iterable[
 
 
 def _cmd_trees(args: argparse.Namespace) -> int:
+    from .series import TypeVector
+    from .trees import _mark_text, count_initial_leaves, enumerate_trees
+
     try:
         m = TypeVector.parse(args.type_text)
     except ValueError as exc:
@@ -245,23 +243,24 @@ def _cmd_trees(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    checks = _checks()
-    every = [name for name, (_, _, in_all) in checks.items() if in_all]
+    every = [name for name, (*_, in_all) in _CHECKS.items() if in_all]
     named = (c.strip() for c in args.checks.split(","))
     # each 'all' stands for its checks; each check runs once, in the order it is first named
     selected = list(dict.fromkeys(n for c in named if c for n in (every if c == "all" else [c])))
     if not selected:
         raise _UsageError("no checks selected")
-    unknown = [c for c in selected if c not in checks]
+    unknown = [c for c in selected if c not in _CHECKS]
     if unknown:
         raise _UsageError(
-            f"unknown checks {unknown}; valid: {', '.join(checks)}, or 'all' " + _all_text()
+            f"unknown checks {unknown}; valid: {', '.join(_CHECKS)}, or 'all' " + _all_text()
         )
-    needs_enum = [c for c in selected if checks[c][1]]
+    needs_enum = [c for c in selected if _CHECKS[c][2]]
     if needs_enum:
         what = f"{', '.join(needs_enum)} enumerate exhaustively"
         _refuse_enumeration(args, args.max_weight, what)
-    reports = [checks[name][0](args.max_weight) for name in selected]
+    reports = []
+    for module, runner, *_ in map(_CHECKS.get, selected):
+        reports.append(getattr(import_module(f".{module}", __package__), runner)(args.max_weight))
     if args.format == "json":
         import json
         payload = {

@@ -37,8 +37,6 @@ from .series import (
     mismatches_between,
     sum_of_variables,
 )
-from .subdigons import count_marked_subdigons
-from .trees import count_marked_trees
 
 
 class NegativeGeodeCoefficientError(ArithmeticError):
@@ -148,14 +146,15 @@ def verify_grade_sums(bound: int) -> VerificationReport:
 
     A mismatch is keyed by its grade, e.g. "weight 3", not by a monomial.
     """
+    s, g = hyper_catalan_series(bound), geode_series(bound)  # first, as they check the bound
     catalan = [1]
     for n in range(1, bound + 2):
         catalan.append(sum(catalan[i] * catalan[n - 1 - i] for i in range(n)))
     differences = [1] + [catalan[w + 1] - catalan[w] for w in range(1, bound + 1)]
     groups = []
     for label, series, wanted in (
-        ("S grade sums vs Catalan numbers", hyper_catalan_series(bound), catalan),
-        ("G grade sums vs Catalan differences", geode_series(bound), differences),
+        ("S grade sums vs Catalan numbers", s, catalan),
+        ("G grade sums vs Catalan differences", g, differences),
     ):
         sums = [sum(series._grades.get(w, {}).values()) for w in range(bound + 1)]
         mismatches = tuple(
@@ -174,6 +173,8 @@ def verify_marked_trees(bound: int) -> VerificationReport:
     from the algebraic recurrence, the right from enumerating trees and
     counting initial leaves.  Exponential in the bound.
     """
+    from .trees import count_marked_trees  # loaded by this check alone
+
     return _verify_counts("marked-trees", "marked-tree", count_marked_trees, bound)
 
 
@@ -184,6 +185,8 @@ def verify_marked_subdigons(bound: int) -> VerificationReport:
     face, the polygon-side mirror of initial leaves.  Exponential in the
     bound.
     """
+    from .subdigons import count_marked_subdigons  # loaded by this check alone
+
     return _verify_counts(
         "marked-subdigons", "marked-subdigon", count_marked_subdigons, bound
     )

@@ -33,8 +33,9 @@ def _hyper_catalan_graded(bound: int) -> tuple[int, ...]:
     Every vector of grade w has w edges, so one factorial table serves the
     whole grade: C(m) = w! / ((1 + w - sum of m_n)! * product of m_n!).
     """
+    entries, starts = _graded_layout(bound)  # first, as it checks the bound
     fact = list(accumulate(range(1, bound + 2), mul, initial=1))  # fact[n] = n!
-    (entries, starts), get = _graded_layout(bound), fact.__getitem__
+    get = fact.__getitem__
     return tuple(
         fact[w] // (fact[1 + w - sum(e)] * prod(map(get, e)))
         for w in range(bound + 1)

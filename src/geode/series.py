@@ -12,7 +12,7 @@ hence the name.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from itertools import accumulate, chain, count, zip_longest
 from operator import add, attrgetter, mul
 from typing import Iterable, Mapping
@@ -178,7 +178,15 @@ def enumerate_types(bound: int) -> list[TypeVector]:
     return list(map(TypeVector, _graded_layout(bound)[0]))
 
 
-@cache
+def _require_bound(bound: int) -> None:
+    """Reject a bound that is not a nonnegative int, a bool or a float included."""
+    if type(bound) is not int:
+        raise TypeError(f"bound must be an int, got {bound!r}")
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: True or 2.0 misses, and the check below rejects it
 def _graded_layout(bound: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Entry tuples of every vector of weight <= bound, in graded order, and the
     bound + 2 starts of their grades: grade w is ``entries[starts[w]:starts[w + 1]]``.
@@ -191,8 +199,7 @@ def _graded_layout(bound: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, 
     >>> _graded_layout(4)[0][7:]
     ((4,), (2, 1), (1, 0, 1), (0, 2), (0, 0, 0, 1))
     """
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
+    _require_bound(bound)
     tails = [((),)] + [()] * bound  # with no part left, only weight 0 has a tail
     for n in range(bound, 0, -1):
         # tails[0] stays the empty tail, so m_n = 0 leads only nonempty ones: all trimmed
@@ -223,8 +230,7 @@ class TruncatedSeries(_Value):
     __slots__ = ("bound", "_grades")
 
     def __init__(self, bound: int, coeffs: Mapping[TypeVector, int] | None = None):
-        if bound < 0:
-            raise ValueError(f"bound must be nonnegative, got {bound}")
+        _require_bound(bound)
         grades: _Grades = {}
         for m, value in (coeffs or {}).items():
             if value != 0 and m.edge_weight <= bound:

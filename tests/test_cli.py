@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import geode
+import geode.subdigons
+import geode.trees
 from geode import (
     cli,
     count_marked_subdigons,
@@ -79,8 +81,8 @@ def test_g_table_with_counts_all_columns_agree(capsys):
 
 
 def test_g_table_mismatch_injection_fails(capsys, monkeypatch):
-    count = cli.count_marked_trees
-    monkeypatch.setattr(cli, "count_marked_trees", lambda m: count(m) + 1)
+    count = geode.trees.count_marked_trees
+    monkeypatch.setattr(geode.trees, "count_marked_trees", lambda m: count(m) + 1)
     code, out, err = run(capsys, "g-table", "--max-weight", "3", "--with-counts")
     assert code == 1
     assert "mismatch" in err
@@ -106,8 +108,7 @@ def test_g_table_refuses_counts_before_building_g(capsys, monkeypatch):
     def unreachable(bound):
         raise AssertionError("the Geode recurrence ran before the --with-counts gate")
 
-    # the plain table solves G through cli's name, the counted rows through factorization's
-    monkeypatch.setattr(cli, "_geode_coefficients", unreachable)
+    # the plain table and the counted rows both solve G through factorization's name
     monkeypatch.setattr(factorization, "_geode_coefficients", unreachable)
     code, out, err = run(capsys, "g-table", "--max-weight", "34", "--with-counts")
     assert code == 2
@@ -134,8 +135,8 @@ def test_a_corrupted_geode_reaches_every_counted_route(capsys, monkeypatch):
     assert err == "count mismatch at monomials: [1,1]\n"
 
     monkeypatch.setattr(factorization, "_geode_coefficients", solve)
-    count = factorization.count_marked_subdigons
-    monkeypatch.setattr(factorization, "count_marked_subdigons", lambda m: count(m) + 1)
+    count = geode.subdigons.count_marked_subdigons
+    monkeypatch.setattr(geode.subdigons, "count_marked_subdigons", lambda m: count(m) + 1)
     argv = ["verify", "--checks", "marked-trees,marked-subdigons", "--max-weight", "4"]
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 1
@@ -395,21 +396,112 @@ def test_bad_flags_exit_2(capsys):
         assert "nonnegative" in err
 
 
-def test_import_loads_only_what_every_command_needs():
-    # a fresh child, with -S so that site's .pth imports stay out of sys.modules
-    code = (
-        "import geode.cli, sys; "
-        "print(sorted({'dataclasses', 'inspect', 'json', 'csv', 'traceback'} & set(sys.modules)))"
-    )
+def fresh_child(code, *args):
+    """Stdout of ``code`` in a fresh child, with -S so that site's .pth imports stay out of
+    sys.modules."""
     src = str(Path(geode.__file__).resolve().parent.parent)
     child = subprocess.run(
-        [sys.executable, "-S", "-c", code],
+        [sys.executable, "-S", "-c", code, *args],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert child.stdout == "[]\n"
+    return child.stdout
+
+
+def test_import_loads_only_what_every_command_needs():
+    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'geode'))"
+    assert fresh_child(f"import geode, sys; {loaded}") == "['geode']\n"
+    code = (
+        "import geode.cli, sys; geode.cli._build_parser(); "
+        "print(sorted({'dataclasses', 'inspect', 'json', 'csv', 'traceback'} & set(sys.modules)))"
+        f"; {loaded}"
+    )
+    assert fresh_child(code) == "[]\n['geode', 'geode.cli']\n"
+
+
+TABLES = ["series", "reports", "hypercatalan", "factorization"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        ("trees --type 0,2", ["series", "trees"]),
+        ("trees --type 0,2 --marked", ["series", "trees"]),
+        ("s-table --max-weight 4", TABLES[:3]),
+        ("g-table --max-weight 4", TABLES),
+        ("g-table --max-weight 4 --format json", TABLES),
+        ("verify --checks functional-eq,factorization --max-weight 4", TABLES),
+        ("g-table --max-weight 4 --with-counts", TABLES + ["subdigons", "trees"]),
+        ("verify --checks all --max-weight 4", TABLES + ["subdigons", "trees"]),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    code = (
+        "import contextlib, io, sys, geode.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert geode.cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'geode'))\n"
+    )
+    want = sorted(["geode", "geode.cli"] + [f"geode.{m}" for m in modules])
+    assert fresh_child(code, *argv.split()) == f"{want}\n"
+
+
+PUBLIC_NAMES = [
+    "CheckGroup", "LEAF", "MarkedSubdigon", "MarkedTree", "Mismatch",
+    "NegativeGeodeCoefficientError", "OrderedTree", "Subdigon", "TRIVIAL", "TruncatedSeries",
+    "TypeVector", "VerificationReport", "clawed_nodes", "compose_subdigon", "compose_tree",
+    "count_initial_external_edges", "count_initial_leaves", "count_marked_subdigons",
+    "count_marked_trees", "decompose_subdigon", "decompose_tree", "enumerate_marked_subdigons",
+    "enumerate_marked_trees", "enumerate_subdigons", "enumerate_trees", "enumerate_types",
+    "external_edges_ccw", "external_faces", "geode_series", "grading_key", "hyper_catalan",
+    "hyper_catalan_series", "mismatches_between", "post_order", "root_decompose",
+    "solve_factorization", "subdigon_to_tree", "subdigon_type", "sum_of_variables",
+    "tree_to_subdigon", "tree_type", "verify_bijections", "verify_factorization",
+    "verify_functional_equation", "verify_grade_sums", "verify_marked_subdigons",
+    "verify_marked_trees",
+]
+
+
+def test_the_lazy_namespace_binds_every_public_name():
+    assert geode.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        value = getattr(geode, name)
+        home = value.__module__  # a constant's is its class's: LEAF and TRIVIAL
+        assert home.startswith("geode.")
+        assert getattr(sys.modules[home], name) is value
+    assert {"__all__", *PUBLIC_NAMES} <= set(dir(geode))
+    with pytest.raises(AttributeError, match="^module 'geode' has no attribute 'nonsense'$"):
+        geode.nonsense
+    # a fresh child, where no submodule has loaded yet
+    code = (
+        "import sys\n"
+        "names = {}\n"
+        "exec('from geode import *', names)\n"
+        "print(sorted(names.keys() - {'__builtins__'}))\n"
+        "from geode import cli\n"
+        "print(cli.__name__, cli is sys.modules['geode.cli'])\n"
+    )
+    assert fresh_child(code) == f"{PUBLIC_NAMES}\ngeode.cli True\n"
+
+
+def test_verify_help_lists_every_check_and_loads_none():
+    code = (
+        "import sys, geode.cli\n"
+        "try:\n"
+        "    geode.cli.main(['verify', '--help'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'geode'))\n"
+    )
+    *help_lines, loaded = fresh_child(code).splitlines()
+    assert loaded == "['geode', 'geode.cli']"
+    # argparse wraps the help, after hyphens too, by rules that differ across Python versions
+    text = "".join("".join(help_lines).split())
+    checks = "functional-eq,factorization,marked-trees,marked-subdigons,bijections,grade-sums"
+    assert "{" + checks + "}" in text
+    assert "everycheckbutgrade-sums" in text
 
 
 def stdlib_table(command, bound, fmt):
@@ -564,8 +656,8 @@ def test_a_closed_pipe_in_a_fresh_child_keeps_the_exit_status(argv, closed, code
 
 
 def test_closed_stderr_keeps_the_mismatch_status(capsys, monkeypatch):
-    count = cli.count_marked_trees
-    monkeypatch.setattr(cli, "count_marked_trees", lambda m: count(m) + 1)
+    count = geode.trees.count_marked_trees
+    monkeypatch.setattr(geode.trees, "count_marked_trees", lambda m: count(m) + 1)
     monkeypatch.setattr(sys, "stderr", ClosedPipe())
     assert main(["g-table", "--max-weight", "3", "--with-counts"]) == 1
 
@@ -574,7 +666,7 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     def crash(m):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(cli, "enumerate_trees", crash)
+    monkeypatch.setattr(geode.trees, "enumerate_trees", crash)
     code, out, err = run(capsys, "trees", "--type", "0,1")
     assert code == 3
     assert out == ""

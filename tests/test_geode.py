@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from geode import (
@@ -18,6 +20,7 @@ from geode import (
 )
 from geode import cli, hyper_catalan_series
 from geode.factorization import _lifted_targets
+from geode.series import _graded_layout
 from oracles import catalan_numbers
 
 V = TypeVector
@@ -202,21 +205,34 @@ def test_series_support_is_every_type():
     assert all(value >= 1 for _, value in g.items())
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        verify_functional_equation,
-        verify_factorization,
-        verify_grade_sums,
-        verify_marked_trees,
-        verify_marked_subdigons,
-        verify_bijections,
-        geode_series,
-        hyper_catalan_series,
-        enumerate_types,
-    ],
-)
+BOUND_TAKERS = [
+    verify_functional_equation,
+    verify_factorization,
+    verify_grade_sums,
+    verify_marked_trees,
+    verify_marked_subdigons,
+    verify_bijections,
+    geode_series,
+    hyper_catalan_series,
+    enumerate_types,
+]
+
+
+@pytest.mark.parametrize("build", BOUND_TAKERS)
 def test_a_negative_bound_is_a_value_error(build):
     # every route reads the one type index, which rejects the bound itself
     with pytest.raises(ValueError, match="^bound must be nonnegative, got -1$"):
         build(-1)
+
+
+@pytest.mark.parametrize("bound", [True, 2.0, "3"])
+@pytest.mark.parametrize("build", BOUND_TAKERS)
+def test_a_bound_that_is_not_an_int_is_a_type_error(build, bound):
+    # the type index is cached, and True == 1, 2.0 == 2: cold or warm, neither passes as an int
+    _graded_layout.cache_clear()
+    message = f"^bound must be an int, got {re.escape(repr(bound))}$"
+    with pytest.raises(TypeError, match=message):
+        build(bound)
+    build(int(bound))
+    with pytest.raises(TypeError, match=message):
+        build(bound)
