@@ -1,25 +1,31 @@
 """Subdigons: polygon dissections with a distinguished roof edge.
 
 A subdigon is a polygon subdivided by noncrossing arcs, with one designated
-edge (the roof).  It is stored nested: the central face (the one whose
-boundary contains the roof) has n >= 1 further edges, listed counterclockwise
-starting from the roof, and each such slot either is a boundary edge of the
-polygon (stored as None) or glues in the subdigon that lies behind an
-internal arc.  The lone roofed edge with no face at all is the trivial
-subdigon.  Its type is the vector m with m_n = number of faces having n + 1
-edges (a roof plus n others); bigon faces (n = 1) are allowed.
+edge (the roof).  The central face (the one whose boundary contains the roof)
+has n >= 1 further edges, its slots, listed counterclockwise starting from
+the roof; each slot either is a boundary edge of the polygon or glues in the
+subdigon that lies behind an internal arc.  The lone roofed edge with no face
+at all is the trivial subdigon.  Its type is the vector m with m_n = number
+of faces having n + 1 edges (a roof plus n others); bigon faces (n = 1) are
+allowed.
+
+A subdigon is stored as its boundary word, read-only as ``sub.boundary``:
+walk counterclockwise from the roof and write 0 for each boundary edge, and
+n when a face with n + 1 edges completes.  The trivial subdigon is ``(0,)``:
+
+>>> Subdigon.parse("(()(()()))").boundary == (0, 0, 0, 2, 2)
+True
 
 A face is *external* if its only internal edge is its own roof, and the
 boundary edges of the polygon are its *external edges*.  Converting slots to
 children maps subdigons to ordered trees so that faces become internal
 nodes, external edges become leaves, and external faces become clawed nodes;
-the counterclockwise boundary walk becomes post-order traversal.
-
-Every walk over the nested slots is a loop, so depth is not limited by
-Python's recursion limit.  The structure maps write and read the degree word
-a tree stores (``tree.word``), and subdigons compare and hash by the word of
-their tree image, computed from their own slots on first use and kept;
-enumeration and face deletion stay independent of trees.
+the boundary word is the post-order degree word of the tree image.  The
+structure maps are a change of traversal, between a tree's preorder word and
+this word.  The first external face completes at the first nonzero letter,
+and every markable edge is a 0 before it, so face deletion and attachment
+are slices.  Every walk is a loop over the word, so depth is not limited by
+Python's recursion limit.
 
 Text form mirrors trees: a face is "(" + slots + ")", a boundary slot is
 "()", and the trivial subdigon is "*e*".  A subdigon and its tree image
@@ -29,7 +35,7 @@ therefore serialize identically except for the trivial case.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import chain, compress, count, product
 from operator import attrgetter, sub as subtract
 from typing import Iterator
 
@@ -54,49 +60,45 @@ from .trees import (
 TRIVIAL_TEXT = "*e*"
 
 
-def _slot_word(sub: Subdigon) -> Word:
-    """Degree word of the tree image: slot counts of faces, 0 per boundary edge."""
-    word: list[int] = []
-    stack: list[Subdigon | None] = [sub]
-    while stack:
-        face = stack.pop()
-        if face is None:
-            word.append(0)
-        else:
-            word.append(len(face.slots))
-            stack += face.slots[::-1]
-    return tuple(word)
-
-
 class Subdigon(_Value):
     """Either the trivial lone roofed edge (no slots) or a central face.
 
     Glued slots must themselves contain a face; a lone edge behind an arc
     would just be a boundary edge, which is written as None.  This keeps the
-    representation canonical.  The degree word is computed from the slots on
-    the first compare or hash and kept.
+    representation canonical.  ``slots`` decodes the central face from the
+    boundary word.
     """
 
-    __slots__ = ("slots", "_word")
-    slots: tuple[Subdigon | None, ...]
+    __slots__ = ("boundary",)
+    boundary: Word
 
     def __init__(self, slots: tuple[Subdigon | None, ...] = ()) -> None:
+        word: list[int] = []
         for slot in slots:
-            if slot is not None and slot.is_trivial:
+            if slot is None:
+                word.append(0)
+            elif not isinstance(slot, Subdigon):
+                raise TypeError(f"a slot must be a Subdigon or None, got {slot!r}")
+            elif slot.is_trivial:
                 raise ValueError("a glued slot must hold a face; boundary edges are None")
-        _set_slots(self, slots)
+            else:
+                word += slot.boundary
+        word.append(len(slots))
+        _set_boundary(self, tuple(word))
+
+    _key = property(attrgetter("boundary"))
 
     @property
-    def _key(self) -> Word:
-        word = getattr(self, "_word", None)  # an unset slot reads as the default
-        if word is None:
-            word = _slot_word(self)
-            _set_word(self, word)
-        return word
+    def slots(self) -> tuple[Subdigon | None, ...]:
+        word = self.boundary
+        # each slot's stretch of the word ends at a letter one face deep
+        ends = [i for i, open_faces in _descent(word) if len(open_faces) == 1][::-1]
+        starts = [0, *(end + 1 for end in ends)]
+        return tuple(_subdigon(word[s : e + 1]) if word[e] else None for s, e in zip(starts, ends))
 
     @property
     def is_trivial(self) -> bool:
-        return not self.slots
+        return len(self.boundary) == 1
 
     def serialize(self) -> str:
         if self.is_trivial:
@@ -122,14 +124,13 @@ class Subdigon(_Value):
 
 # Trusted constructors, as in trees: no validation, and each field is set
 # through its slot's member descriptor.
-_set_slots = Subdigon.slots.__set__
-_set_word = Subdigon._word.__set__
+_set_boundary = Subdigon.boundary.__set__
 
 
-def _subdigon(slots: tuple[Subdigon | None, ...]) -> Subdigon:
-    """Trusted constructor: wrap slots that are canonical by construction."""
+def _subdigon(word: Word) -> Subdigon:
+    """Trusted constructor: wrap a valid boundary word as is."""
     sub = _new(Subdigon)
-    _set_slots(sub, slots)
+    _set_boundary(sub, word)
     return sub
 
 
@@ -149,6 +150,8 @@ class MarkedSubdigon(_Value):
     mark: int
 
     def __init__(self, subdigon: Subdigon, mark: int) -> None:
+        if type(mark) is not int:
+            raise TypeError(f"mark must be an int, got {mark!r}")
         limit = count_initial_external_edges(subdigon)
         if not 0 <= mark < limit:
             raise ValueError(f"mark {mark} lies beyond the first external face (limit {limit})")
@@ -180,54 +183,69 @@ def _marked_subdigon(subdigon: Subdigon, mark: int) -> MarkedSubdigon:
 
 def subdigon_type(sub: Subdigon) -> TypeVector:
     """Face-size counts: entry n is the number of faces with n + 1 edges."""
-    return TypeVector(_face_counts(sub))
+    return TypeVector(_degree_counts(sub.boundary))  # the letters count faces by size
 
 
-def _face_counts(sub: Subdigon) -> tuple[int, ...]:
-    """The entries of a subdigon's type, counted over its faces."""
-    if sub.is_trivial:
-        return ()
-    sizes: list[int] = []
-    stack = [sub]
-    while stack:
-        slots = stack.pop().slots
-        sizes.append(len(slots))
-        stack += filter(None, slots)  # the glued slots; None is a boundary edge
-    return tuple(map(sizes.count, range(1, max(sizes) + 1)))
+def _descent(word: Word) -> Iterator[tuple[int, list[int]]]:
+    """(index, open) per letter, walking the word back from the roof.
+
+    The walk meets each face before its slots, last slot first.  ``open`` is
+    one live list: per face around the letter, outermost first, the slots
+    not yet passed, so a letter's depth is its length and its slot path is
+    each entry less one.
+    """
+    open_faces: list[int] = []
+    for i in range(len(word) - 1, -1, -1):
+        yield i, open_faces
+        if word[i]:
+            open_faces.append(word[i])
+            continue
+        while open_faces:  # a boundary edge passes a slot, and may finish faces
+            open_faces[-1] -= 1
+            if open_faces[-1]:
+                break
+            open_faces.pop()
 
 
 def subdigon_to_tree(sub: Subdigon) -> OrderedTree:
     """Structure map: the roof becomes the root, slots become children.
 
     Boundary edges turn into leaves and glued subdigons into subtrees, so
-    types are preserved.
+    types are preserved.  The boundary word is the tree's post-order word.
     """
-    return _tree(sub._key)
+    return _tree(_retraverse(sub.boundary, -1))
 
 
 def tree_to_subdigon(tree: OrderedTree) -> Subdigon:
     """Inverse structure map: glue a face of size n + 1 per n-child node."""
-    # the word read right to left as Polish notation; a 0 is a boundary edge
-    stack: list[Subdigon | None] = []  # finished slots, the leftmost on top
-    for degree in reversed(tree.word):
-        if degree:
-            slots = stack[-degree:]
-            del stack[-degree:]
-            slots.reverse()
-            stack.append(_subdigon(tuple(slots)))
-        else:
-            stack.append(None)
-    return stack[0] or TRIVIAL
+    return _subdigon(_retraverse(tree.word, 1))
 
 
-def _walk(sub: Subdigon) -> Iterator[tuple[Path, Subdigon | None]]:
-    """(path, slot) for the root and every slot below it, in preorder."""
-    stack: list[tuple[Path, Subdigon | None]] = [((), sub)]
-    while stack:
-        path, face = stack.pop()
-        yield path, face
-        if face is not None:
-            stack += [(path + (i,), slot) for i, slot in enumerate(face.slots)][::-1]
+def _retraverse(word: Word, step: int) -> Word:
+    """A tree's preorder word in post-order (step 1), or its post-order word in preorder (-1).
+
+    Either walk meets each node before its children: forward over preorder,
+    or back over post-order, last child first.  A node closes at the leaf
+    where the walk leaves its subtree, and its place in the other order is
+    that leaf's, less its depth going forward or plus it going back; every
+    other place holds a leaf's 0.
+    """
+    out = [0] * len(word)
+    nodes: list[int] = []  # the letters of the open nodes
+    pending: list[int] = []  # the children each open node has yet to close
+    for i in range(len(word))[::step]:
+        letter = word[i]
+        if letter:
+            nodes.append(letter)
+            pending.append(letter)
+            continue
+        while pending:  # a leaf closes a child, and may close its ancestors
+            pending[-1] -= 1
+            if pending[-1]:
+                break
+            pending.pop()
+            out[i - step * len(pending)] = nodes.pop()
+    return tuple(out)
 
 
 def external_faces(sub: Subdigon) -> list[tuple[Path, Subdigon]]:
@@ -237,12 +255,13 @@ def external_faces(sub: Subdigon) -> list[tuple[Path, Subdigon]]:
     counterclockwise from the roof, and identified by slot paths.  The
     trivial subdigon has no face, hence no external face.
     """
-    # external faces never nest, so preorder lists them in completion order
+    # a face letter n is external iff the n letters before it, its slots, are all 0
+    word = sub.boundary
     return [
-        (path, face)
-        for path, face in _walk(sub)
-        if face and face.slots and all(slot is None for slot in face.slots)
-    ]
+        (tuple(r - 1 for r in open_faces), _subdigon(word[i - n : i + 1]))
+        for i, open_faces in _descent(word)
+        if (n := word[i]) and not any(word[i - n : i])
+    ][::-1]
 
 
 def external_edges_ccw(sub: Subdigon) -> list[Path]:
@@ -252,9 +271,9 @@ def external_edges_ccw(sub: Subdigon) -> list[Path]:
     sequence of the tree image path-for-path.  The trivial subdigon's lone
     edge is represented by the empty path.
     """
-    if sub.is_trivial:
-        return [()]
-    return [path for path, slot in _walk(sub) if slot is None]
+    word = sub.boundary
+    edges = [tuple(r - 1 for r in open_faces) for i, open_faces in _descent(word) if not word[i]]
+    return edges[::-1]
 
 
 def count_initial_external_edges(sub: Subdigon) -> int:
@@ -265,27 +284,8 @@ def count_initial_external_edges(sub: Subdigon) -> int:
     subdigon's lone edge is markable by convention, matching the single
     markable leaf of the one-node tree.
     """
-    if sub.is_trivial:
-        return 1
-    path, face = _first_external_face(sub)
-    return sum(path) + len(face.slots)
-
-
-def _first_external_face(face: Subdigon) -> tuple[list[int], Subdigon]:
-    """Slot path and face of the first external face met from the roof.
-
-    Each descent enters a face's first glued slot, so the slots passed are
-    boundary edges: sum(path) of them precede the face counterclockwise.
-    """
-    path: list[int] = []
-    while True:
-        for i, slot in enumerate(face.slots):
-            if slot is not None:
-                path.append(i)
-                face = slot
-                break
-        else:
-            return path, face
+    # the edges before the first nonzero letter; only the trivial word has none
+    return next(compress(count(), sub.boundary), 1)
 
 
 def enumerate_subdigons(m: TypeVector) -> list[Subdigon]:
@@ -299,25 +299,23 @@ def enumerate_subdigons(m: TypeVector) -> list[Subdigon]:
     # a part of a type precedes it in _subvectors' lexicographic order
     for part in _subvectors(m.entries):
         _enumerate_subdigons_cached(_trimmed(part))
-    return list(_enumerate_subdigons_cached(m.entries))
+    return list(map(_subdigon, _enumerate_subdigons_cached(m.entries)))
 
 
 @lru_cache(maxsize=None)
-def _enumerate_subdigons_cached(entries: tuple[int, ...]) -> tuple[Subdigon, ...]:
-    """The subdigons of the type with these trimmed entries, as a tuple."""
+def _enumerate_subdigons_cached(entries: tuple[int, ...]) -> tuple[Word, ...]:
+    """The boundary words of the type with these trimmed entries, as a tuple."""
     if not entries:
-        return (TRIVIAL,)
-    out: list[Subdigon] = []
-    for n, count in enumerate(entries, 1):
-        if not count:
+        return ((0,),)  # also the word of a boundary-edge slot
+    out: list[Word] = []
+    for n, faces in enumerate(entries, 1):
+        if not faces:
             continue
-        rest = (*entries[: n - 1], count - 1, *entries[n:])
+        rest = (*entries[: n - 1], faces - 1, *entries[n:])
+        central = (n,)
         for parts in _type_compositions(rest, n):
-            slot_choices = [
-                _enumerate_subdigons_cached(part) if part else (None,)
-                for part in parts
-            ]
-            out += map(_subdigon, product(*slot_choices))
+            slot_words = map(_enumerate_subdigons_cached, parts)
+            out += [tuple(chain(*slots, central)) for slots in product(*slot_words)]
     return tuple(out)
 
 
@@ -369,24 +367,11 @@ def decompose_subdigon(sub: Subdigon) -> tuple[int, MarkedSubdigon]:
     """
     if sub.is_trivial:
         raise ValueError("the trivial subdigon has no face to delete")
-    path, face = _first_external_face(sub)
-    stripped = _replace_slot(sub, tuple(path), None) or TRIVIAL
+    word = sub.boundary
+    i = next(compress(count(), word))  # the first face letter; its n edges precede it
+    n = word[i]
     # the face's former roof is met at or before it: a markable edge by construction
-    return len(face.slots), _marked_subdigon(stripped, sum(path))
-
-
-def _replace_slot(
-    sub: Subdigon, path: Path, replacement: Subdigon | None
-) -> Subdigon | None:
-    """Copy of sub with the slot at path replaced; the empty path replaces sub."""
-    faces = [sub]  # the faces down the path, each holding the next
-    for i in path[:-1]:
-        faces.append(faces[-1].slots[i])
-    for face, i in zip(reversed(faces), reversed(path)):
-        slots = list(face.slots)
-        slots[i] = replacement
-        replacement = _subdigon(tuple(slots))
-    return replacement
+    return n, _marked_subdigon(_subdigon(word[: i - n] + (0,) + word[i + 1 :]), i - n)
 
 
 def compose_subdigon(n: int, marked: MarkedSubdigon) -> Subdigon:
@@ -397,19 +382,9 @@ def compose_subdigon(n: int, marked: MarkedSubdigon) -> Subdigon:
     """
     if n < 1:
         raise ValueError(f"a face needs at least one non-roof edge, got n={n}")
-    # a markable edge lies on the descent to the first external face: it is
-    # one of the path[d] boundary slots of some face before its first glued one
-    path, face = _first_external_face(marked.subdigon)
-    mark = marked.mark
-    for d, boundary in enumerate(path):
-        if mark < boundary:
-            path[d:] = [mark]
-            break
-        mark -= boundary
-    else:
-        if face.slots:  # a slot of the external face; the trivial subdigon keeps ()
-            path.append(mark)
-    return _replace_slot(marked.subdigon, tuple(path), _subdigon((None,) * n))
+    # a markable edge comes before every face letter, so it is letter `mark`
+    word, mark = marked.subdigon.boundary, marked.mark
+    return _subdigon(word[:mark] + (0,) * n + (n,) + word[mark + 1 :])
 
 
 def verify_bijections(bound: int) -> VerificationReport:
@@ -430,10 +405,13 @@ def verify_bijections(bound: int) -> VerificationReport:
     square = _Tally("deletion commutes with the structure map")
 
     # each map runs once per object: the subdigon side reuses the tree side's
-    # images and decompositions by tree, and each reduced type's marked lists
-    # are enumerated once for every heavier type.  Objects are kept as their
-    # words (a subdigon's is its equality key), so sets and dicts hash tuples.
+    # images and decompositions by tree, a deletion's tree image is read from
+    # the lighter type that enumerated it, and each reduced type's marked
+    # lists are enumerated once for every heavier type.  Objects are kept as
+    # their words (a subdigon's boundary word is its equality key), so sets
+    # and dicts hash tuples.
     marked_lists: dict[TypeVector, tuple[list[tuple[Word, int]], list[tuple[Word, int]]]] = {}
+    tree_of: dict[Word, Word] = {}  # boundary word -> tree word, of every subdigon so far
 
     for m in enumerate_types(bound):
         entries = m.entries  # the types are compared as these count tuples
@@ -449,9 +427,9 @@ def verify_bijections(bound: int) -> VerificationReport:
         for t in trees:
             word = t.word
             s = tree_to_subdigon(t)
-            if subdigon_to_tree(s).word == word and _face_counts(s) == entries:
+            if subdigon_to_tree(s).word == word and _degree_counts(s.boundary) == entries:
                 mapped += 1
-            images[word] = s._key
+            images[word] = s.boundary
             if entries:  # the one-node tree has nothing to delete
                 n, marked = decompose_tree(t)
                 if compose_tree(n, marked).word == word:
@@ -459,23 +437,25 @@ def verify_bijections(bound: int) -> VerificationReport:
                 decompositions[word] = got = (n, marked.tree.word, marked.mark)
                 got_tree.add(got)
         for s in subs:
-            key = s._key
+            key = s.boundary
             t = subdigon_to_tree(s)
-            word = t.word
+            word = tree_of[key] = t.word
             # under a corrupted map, t may be a tree the tree side never reached
-            image = images.get(word) or tree_to_subdigon(t)._key
+            image = images.get(word) or tree_to_subdigon(t).boundary
             if image == key and _degree_counts(word) == entries:
                 mapped += 1
             if entries:
                 n, marked = decompose_subdigon(s)
-                if compose_subdigon(n, marked)._key == key:
+                if compose_subdigon(n, marked).boundary == key:
                     restored += 1
-                got_sub.add((n, marked.subdigon._key, marked.mark))
+                stripped = marked.subdigon.boundary
+                got_sub.add((n, stripped, marked.mark))
                 if word not in decompositions:
                     n_tree, marked_tree = decompose_tree(t)
                     decompositions[word] = (n_tree, marked_tree.tree.word, marked_tree.mark)
-                induced = n, subdigon_to_tree(marked.subdigon).word, marked.mark
-                if decompositions[word] == induced:
+                # a deletion no lighter type enumerated can only come from a corrupted map
+                stripped_tree = tree_of.get(stripped) or subdigon_to_tree(marked.subdigon).word
+                if decompositions[word] == (n, stripped_tree, marked.mark):
                     commuting += 1
         roundtrip.add(m, len(trees) + len(subs), mapped)
         if not entries:
@@ -491,7 +471,7 @@ def verify_bijections(bound: int) -> VerificationReport:
             if k not in marked_lists:
                 marked_lists[k] = (
                     [(x.tree.word, x.mark) for x in enumerate_marked_trees(k)],
-                    [(x.subdigon._key, x.mark) for x in enumerate_marked_subdigons(k)],
+                    [(x.subdigon.boundary, x.mark) for x in enumerate_marked_subdigons(k)],
                 )
         want_tree = {(n, *pair) for n, k in reduced for pair in marked_lists[k][0]}
         want_sub = {(n, *pair) for n, k in reduced for pair in marked_lists[k][1]}

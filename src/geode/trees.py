@@ -34,6 +34,9 @@ class OrderedTree(_Value):
     word: Word
 
     def __init__(self, children: tuple[OrderedTree, ...] = ()) -> None:
+        for child in children:
+            if not isinstance(child, OrderedTree):
+                raise TypeError(f"a child must be an OrderedTree, got {child!r}")
         _set_word(self, (len(children), *chain.from_iterable(child.word for child in children)))
 
     _key = property(attrgetter("word"))
@@ -139,6 +142,8 @@ class MarkedTree(_Value):
     mark: int
 
     def __init__(self, tree: OrderedTree, mark: int) -> None:
+        if type(mark) is not int:
+            raise TypeError(f"mark must be an int, got {mark!r}")
         limit = count_initial_leaves(tree)
         if not 0 <= mark < limit:
             raise ValueError(f"mark {mark} is not an initial leaf position (limit {limit})")

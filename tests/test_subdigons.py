@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import pickle
+import time
 
 import pytest
 from hypothesis import given
@@ -318,30 +319,42 @@ def test_deep_chains_decompose_and_compose_without_recursion():
     assert decompose_subdigon(composed) == (1, MarkedSubdigon(deep, 1500))
 
 
+def _glued(sub, path, face):
+    """sub with the boundary edge at a slot path replaced by face, rebuilt slot by slot."""
+    outer = [sub]  # the faces down the path, each holding the next
+    for i in path[:-1]:
+        outer.append(outer[-1].slots[i])
+    for holder, i in zip(reversed(outer), reversed(path)):
+        slots = list(holder.slots)
+        slots[i] = face
+        face = Subdigon(tuple(slots))
+    return face  # the empty path is the trivial subdigon's lone edge
+
+
 def test_compose_glues_onto_the_edge_the_boundary_walk_lists():
     for m in enumerate_types(5):
         for marked in enumerate_marked_subdigons(m):
             edge = external_edges_ccw(marked.subdigon)[marked.mark]
-            expected = subdigons_module._replace_slot(
-                marked.subdigon, edge, Subdigon((None, None))
-            )
+            expected = _glued(marked.subdigon, edge, Subdigon((None, None)))
             assert compose_subdigon(2, marked) == expected
 
 
-def test_cached_word_is_the_word_of_the_slots():
-    for sub in [TRIVIAL, TRIANGLE, Subdigon.parse(SECT2_SUBDIGON)]:
-        fresh = subdigons_module._slot_word(sub)
-        hash(sub)
-        assert sub._word == fresh
-        assert subdigon_to_tree(sub).word == fresh
-    built = tree_to_subdigon(OrderedTree.parse(SECT2_SUBDIGON))
-    assert not hasattr(built, "_word")  # computed on first use, not copied from the tree
-    assert built == Subdigon.parse(SECT2_SUBDIGON)
-    assert built._word == subdigons_module._slot_word(built)
+def test_boundary_words_are_pinned():
+    assert TRIVIAL.boundary == (0,)
+    assert TRIANGLE.boundary == (0, 0, 2)
+    assert Subdigon((None,)).boundary == (0, 1)  # the bigon
+    assert Subdigon.parse(SECT2_SUBDIGON).boundary == (
+        (0, 0, 0, 2, 0, 2, 2) + (0,) + (0,) + (0, 0, 0, 3, 1, 0, 1, 0, 3) + (4,)
+    )
+    for m in enumerate_types(7):
+        for sub in enumerate_subdigons(m):
+            assert Subdigon(sub.slots) == sub
 
 
 @pytest.mark.parametrize("cached", [False, True])
 def test_copy_and_pickle_before_and_after_caching(cached):
+    # A Subdigon caches nothing now; hashing it first must still leave every
+    # copy and pickle equal to the original.
     sub = Subdigon.parse(SECT2_SUBDIGON)
     marked = MarkedSubdigon(sub, 0)
     if cached:
@@ -350,6 +363,30 @@ def test_copy_and_pickle_before_and_after_caching(cached):
         for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert clone == value and hash(clone) == hash(value)
     assert copy.deepcopy(sub).serialize() == SECT2_SUBDIGON
+
+
+def test_hostile_depth_stays_linear():
+    k = 50_000
+    texts = [
+        "(" * k + "()" + ")" * k,  # a chain of bigons, k deep
+        "(" * k + "()" + "())" * k,  # a left comb: each triangle glues its first slot
+        "(()" * k + "()" + ")" * k,  # a right comb: each triangle glues its second slot
+    ]
+    start = time.process_time()
+    for text in texts:
+        sub = Subdigon.parse(text)
+        assert sub.serialize() == text
+        tree = subdigon_to_tree(sub)
+        assert tree.word == OrderedTree.parse(text).word
+        assert tree_to_subdigon(tree) == sub
+        slots = sub.slots
+        assert Subdigon(slots) == sub
+        assert sum(subdigon_type(sub).entries) == k
+        marks = count_initial_external_edges(sub)
+        n, marked = decompose_subdigon(sub)
+        assert marked.mark < marks
+        assert compose_subdigon(n, marked) == sub
+    assert time.process_time() - start < 5
 
 
 def _failing_groups(report):
@@ -435,6 +472,20 @@ def test_verify_bijections_detects_a_wrong_mark_from_deletion(monkeypatch):
         "deletion bijects onto marked structures",
         "deletion commutes with the structure map",
     }
+
+
+def test_verify_bijections_reports_a_deletion_no_lighter_type_enumerated(monkeypatch):
+    real = subdigons_module.decompose_subdigon
+    target = Subdigon.parse("((())())")
+    heavier = compose_subdigon(2, MarkedSubdigon(target, 0))  # weight 5, past the bound
+
+    def corrupted(sub):
+        n, marked = real(sub)
+        return (n, MarkedSubdigon(heavier, 0)) if sub == target else (n, marked)
+
+    monkeypatch.setattr(subdigons_module, "decompose_subdigon", corrupted)
+    # the square finds no tree image for `heavier` from a lighter type, and maps it afresh
+    assert "deletion commutes with the structure map" in _failing_groups(verify_bijections(4))
 
 
 def test_verify_bijections_detects_a_corrupted_attachment(monkeypatch):

@@ -112,23 +112,15 @@ def test_tree_and_subdigon_values_keep_no_instance_dict(name):
     assert not hasattr(VALUES[name][0](), "__dict__")
 
 
-def unhashed_subdigon():
-    sub = Subdigon.parse("((())(()()))")
-    assert not hasattr(sub, "_word")  # its word is computed on the first compare or hash
-    return sub
+def bigon_chain(depth):
+    return lambda: Subdigon.parse("(" * depth + "()" + ")" * depth)
 
 
-def hashed_subdigon():
-    sub = unhashed_subdigon()
-    hash(sub)
-    return sub
-
-
-# every _Value class, and a subdigon both before and after it caches its word
+# every _Value class, and subdigons nested deeper than Python's recursion limit
 RESTORED = {
     **{name: VALUES[name][0] for name in VALUES if isinstance(VALUES[name][1], _Value)},
-    "Subdigon unhashed": unhashed_subdigon,
-    "Subdigon hashed": hashed_subdigon,
+    "Subdigon 3000 deep": bigon_chain(3000),
+    "Subdigon 50000 deep": bigon_chain(50_000),
 }
 
 
@@ -141,7 +133,7 @@ def test_values_restore_their_slots_through_every_protocol_and_copy(name):
     set_slots = [slot for slot in type(value).__slots__ if hasattr(value, slot)]
     for other in restored:
         assert type(other) is type(value) and not hasattr(other, "__dict__")
-        # checked before any compare: an unset slot, such as an uncached word, stays unset
+        # checked before any compare: an unset slot stays unset
         assert [slot for slot in type(other).__slots__ if hasattr(other, slot)] == set_slots
     for other in restored:
         assert other == value and hash(other) == hash(value)
@@ -184,3 +176,27 @@ def test_bad_input_is_a_value_error(build):
     with pytest.raises(ValueError):
         build()
 
+
+@pytest.mark.parametrize("mark", [1.0, False, "0"])
+@pytest.mark.parametrize(
+    "cls, parse", [(MarkedTree, OrderedTree.parse), (MarkedSubdigon, Subdigon.parse)]
+)
+def test_a_mark_that_is_not_an_int_is_a_type_error(cls, parse, mark):
+    with pytest.raises(TypeError, match="mark must be an int"):
+        cls(parse("(()())"), mark)  # marks 0 and 1 are valid as ints
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        pytest.param(lambda: OrderedTree((1,)), "OrderedTree", id="tree-int"),
+        pytest.param(lambda: OrderedTree((OrderedTree(), None)), "OrderedTree", id="tree-None"),
+        pytest.param(lambda: Subdigon((1,)), "Subdigon or None", id="subdigon-int"),
+        pytest.param(
+            lambda: Subdigon((None, OrderedTree())), "Subdigon or None", id="subdigon-tree"
+        ),
+    ],
+)
+def test_a_child_that_is_not_a_value_is_a_type_error(build, expected):
+    with pytest.raises(TypeError, match=expected):
+        build()
