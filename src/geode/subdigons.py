@@ -11,16 +11,21 @@ allowed.
 
 A subdigon is stored as its boundary word, read-only as ``sub.boundary``:
 walk counterclockwise from the roof and write 0 for each boundary edge, and
-n when a face with n + 1 edges completes.  The trivial subdigon is ``(0,)``:
+n when a face with n + 1 edges completes.  The trivial subdigon is ``(0,)``.
+An edge or face is named by its position in the word:
 
->>> Subdigon.parse("(()(()()))").boundary == (0, 0, 0, 2, 2)
+>>> sub = Subdigon.parse("(()(()()))")
+>>> sub.boundary == (0, 0, 0, 2, 2)
 True
+>>> external_edges_ccw(sub), external_faces(sub)
+([0, 1, 2], [3])
 
 A face is *external* if its only internal edge is its own roof, and the
 boundary edges of the polygon are its *external edges*.  Converting slots to
 children maps subdigons to ordered trees so that faces become internal
 nodes, external edges become leaves, and external faces become clawed nodes;
-the boundary word is the post-order degree word of the tree image.  The
+the boundary word is the post-order degree word of the tree image, so a
+position in it is the post-order rank of the matching node.  The
 structure maps are a change of traversal, between a tree's preorder word and
 this word.  The first external face completes at the first nonzero letter,
 and every markable edge is a 0 before it, so face deletion and attachment
@@ -37,16 +42,15 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, compress, count, product
 from operator import attrgetter, sub as subtract
-from typing import Iterator
 
 from .hypercatalan import hyper_catalan
 from .reports import CheckGroup, Mismatch, VerificationReport
 from .series import TypeVector, _trimmed, _Value, enumerate_types
 from .trees import (
     OrderedTree,
-    Path,
     Word,
     _degree_counts,
+    _heads,
     _mark_text,
     _new,
     _parse_brackets,
@@ -92,7 +96,7 @@ class Subdigon(_Value):
     def slots(self) -> tuple[Subdigon | None, ...]:
         word = self.boundary
         # each slot's stretch of the word ends at a letter one face deep
-        ends = [i for i, open_faces in _descent(word) if len(open_faces) == 1][::-1]
+        ends = _heads(word, -1)[::-1]
         starts = [0, *(end + 1 for end in ends)]
         return tuple(_subdigon(word[s : e + 1]) if word[e] else None for s, e in zip(starts, ends))
 
@@ -150,6 +154,8 @@ class MarkedSubdigon(_Value):
     mark: int
 
     def __init__(self, subdigon: Subdigon, mark: int) -> None:
+        if not isinstance(subdigon, Subdigon):
+            raise TypeError(f"subdigon must be a Subdigon, got {subdigon!r}")
         if type(mark) is not int:
             raise TypeError(f"mark must be an int, got {mark!r}")
         limit = count_initial_external_edges(subdigon)
@@ -184,27 +190,6 @@ def _marked_subdigon(subdigon: Subdigon, mark: int) -> MarkedSubdigon:
 def subdigon_type(sub: Subdigon) -> TypeVector:
     """Face-size counts: entry n is the number of faces with n + 1 edges."""
     return TypeVector(_degree_counts(sub.boundary))  # the letters count faces by size
-
-
-def _descent(word: Word) -> Iterator[tuple[int, list[int]]]:
-    """(index, open) per letter, walking the word back from the roof.
-
-    The walk meets each face before its slots, last slot first.  ``open`` is
-    one live list: per face around the letter, outermost first, the slots
-    not yet passed, so a letter's depth is its length and its slot path is
-    each entry less one.
-    """
-    open_faces: list[int] = []
-    for i in range(len(word) - 1, -1, -1):
-        yield i, open_faces
-        if word[i]:
-            open_faces.append(word[i])
-            continue
-        while open_faces:  # a boundary edge passes a slot, and may finish faces
-            open_faces[-1] -= 1
-            if open_faces[-1]:
-                break
-            open_faces.pop()
 
 
 def subdigon_to_tree(sub: Subdigon) -> OrderedTree:
@@ -248,32 +233,26 @@ def _retraverse(word: Word, step: int) -> Word:
     return tuple(out)
 
 
-def external_faces(sub: Subdigon) -> list[tuple[Path, Subdigon]]:
-    """Faces whose every non-roof edge is a boundary edge.
+def external_faces(sub: Subdigon) -> list[int]:
+    """Faces whose every non-roof edge is a boundary edge, as boundary-word positions.
 
-    Listed in the order their boundary walks complete when travelling
-    counterclockwise from the roof, and identified by slot paths.  The
-    trivial subdigon has no face, hence no external face.
+    Ascending, which is the order their boundary walks complete when
+    travelling counterclockwise from the roof.  The trivial subdigon has no
+    face, hence no external face.
     """
     # a face letter n is external iff the n letters before it, its slots, are all 0
     word = sub.boundary
-    return [
-        (tuple(r - 1 for r in open_faces), _subdigon(word[i - n : i + 1]))
-        for i, open_faces in _descent(word)
-        if (n := word[i]) and not any(word[i - n : i])
-    ][::-1]
+    return [i for i, n in enumerate(word) if n and not any(word[i - n : i])]
 
 
-def external_edges_ccw(sub: Subdigon) -> list[Path]:
-    """Boundary edges in counterclockwise order starting beside the roof.
+def external_edges_ccw(sub: Subdigon) -> list[int]:
+    """Boundary edges counterclockwise from the roof, as boundary-word positions.
 
-    Edges are identified by slot paths; the list matches the post-order leaf
-    sequence of the tree image path-for-path.  The trivial subdigon's lone
-    edge is represented by the empty path.
+    These are the 0 letters; under the structure map they are the post-order
+    ranks of the leaves of the tree image, in order.  The trivial subdigon's
+    lone edge is position 0.
     """
-    word = sub.boundary
-    edges = [tuple(r - 1 for r in open_faces) for i, open_faces in _descent(word) if not word[i]]
-    return edges[::-1]
+    return [i for i, letter in enumerate(sub.boundary) if not letter]
 
 
 def count_initial_external_edges(sub: Subdigon) -> int:

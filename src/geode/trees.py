@@ -7,10 +7,13 @@ edges and leaf_count(m) leaves.
 
 A tree is stored as its preorder degree word (Lukasiewicz code), the child
 counts of its nodes in preorder, read-only as ``tree.word``; so trees compare
-and hash as flat tuples at any depth, and every walk is a loop over words:
+and hash as flat tuples at any depth, and every walk is a loop over words.
+A node is named by its position in the word, its preorder index:
 
 >>> OrderedTree.parse("(()(()()))").word == (2, 0, 2, 0, 0)
 True
+>>> post_order(OrderedTree.parse("(()(()()))"))
+[1, 3, 4, 2, 0]
 
 Text form: a leaf is "()" and an internal node wraps the forms of its
 children, e.g. "(()())" is a root with two leaf children.  A marked tree
@@ -25,7 +28,6 @@ from typing import Iterator
 
 from .series import TypeVector, _Value
 
-Path = tuple[int, ...]
 Word = tuple[int, ...]
 
 
@@ -44,7 +46,8 @@ class OrderedTree(_Value):
     @property
     def children(self) -> tuple[OrderedTree, ...]:
         word = self.word
-        return tuple(_tree(word[s:e]) for path, s, e in _spans(word) if len(path) == 1)
+        heads = _heads(word, 1)
+        return tuple(_tree(word[s:e]) for s, e in zip(heads, [*heads[1:], len(word)]))
 
     @property
     def is_leaf(self) -> bool:
@@ -87,6 +90,25 @@ def _tree(word: Word) -> OrderedTree:
 
 
 LEAF = OrderedTree()
+
+
+def _heads(word: Word, step: int) -> list[int]:
+    """The positions of the depth-one nodes, walking the word away from its root.
+
+    Forward over a preorder word (step 1), these are the root's children,
+    first child first, each where its subtree begins.  Back over a post-order
+    word (step -1), they are last child first, each where its subtree ends.
+    Either walk meets a node before its descendants, and each letter fills
+    one open child slot and opens as many as it says.
+    """
+    heads: list[int] = []
+    need = 0  # letters the current depth-one subtree still needs
+    for i in range(len(word))[::step][1:]:
+        if not need:
+            heads.append(i)
+            need = 1
+        need += word[i] - 1
+    return heads
 
 
 def _parse_brackets(text: str) -> tuple[Word, list[int]]:
@@ -142,6 +164,8 @@ class MarkedTree(_Value):
     mark: int
 
     def __init__(self, tree: OrderedTree, mark: int) -> None:
+        if not isinstance(tree, OrderedTree):
+            raise TypeError(f"tree must be an OrderedTree, got {tree!r}")
         if type(mark) is not int:
             raise TypeError(f"mark must be an int, got {mark!r}")
         limit = count_initial_leaves(tree)
@@ -230,44 +254,33 @@ def enumerate_trees(m: TypeVector) -> list[OrderedTree]:
     return list(map(_tree, _words(m)))
 
 
-def _spans(word: Word) -> Iterator[tuple[list[int], int, int]]:
-    """(path, start, end) per node in post-order, word[start:end] being its subtree.
-
-    One preorder scan emits each node when its last letter is read; the path
-    is one live list, valid until the next step.
-    """
-    path: list[int] = []
-    open_nodes: list[list[int]] = []  # [start, children not yet begun]
-    for i, degree in enumerate(word):
-        if open_nodes:
-            parent = open_nodes[-1]
-            path.append(word[parent[0]] - parent[1])
-            parent[1] -= 1
-        open_nodes.append([i, degree])
-        while open_nodes and not open_nodes[-1][1]:
-            yield path, open_nodes.pop()[0], i + 1
-            del path[-1:]
-
-
-def post_order(tree: OrderedTree) -> list[tuple[Path, OrderedTree]]:
-    """(path, node) pairs with every node after all of its children.
+def post_order(tree: OrderedTree) -> list[int]:
+    """Preorder indices of the nodes, every node after all of its children.
 
     Children are traversed in their stored order, so leaves come out in
-    left-to-right order.  Paths are child-index sequences from the root;
-    they keep positions distinct even when equal subtrees repeat.
+    left-to-right order.  The letters read in this order are the boundary
+    word of the tree's subdigon image.
+    """
+    order: list[int] = []
+    nodes: list[int] = []  # preorder index of each open node
+    pending = [-1]  # children not yet closed, per open node, over a sentinel
+    for i, degree in enumerate(tree.word):
+        nodes.append(i)
+        pending.append(degree)
+        while not pending[-1]:  # close every node this letter finishes
+            pending.pop()
+            order.append(nodes.pop())
+            pending[-1] -= 1
+    return order
+
+
+def clawed_nodes(tree: OrderedTree) -> list[int]:
+    """Preorder indices of the internal nodes whose children are all leaves.
+
+    Clawed nodes never nest, so ascending order is post-order.
     """
     word = tree.word
-    return [(tuple(p), _tree(word[s:e])) for p, s, e in _spans(word)]
-
-
-def clawed_nodes(tree: OrderedTree) -> list[tuple[Path, OrderedTree]]:
-    """Internal nodes whose children are all leaves, in post-order position."""
-    word = tree.word
-    return [
-        (tuple(path), _tree(word[start:end]))
-        for path, start, end in _spans(word)
-        if end - start == word[start] + 1 > 1
-    ]
+    return [i for i, n in enumerate(word) if n and not any(word[i + 1 : i + 1 + n])]
 
 
 def _first_claw(word: Word) -> int | None:

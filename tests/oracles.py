@@ -102,3 +102,26 @@ def bracket_initial_leaves(s: str) -> int:
             return seen
         seen += 1
     return seen
+
+
+def node_paths(s: str) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The child-index path from the root of every node, in preorder and in post-order.
+
+    Read off the bracket string with a stack of child counters, so any depth
+    parses.
+    """
+    preorder: list[tuple[int, ...]] = []
+    postorder: list[tuple[int, ...]] = []
+    path: list[int] = []
+    begun = [0]  # children begun so far, per open node, under a root counter
+    for char in s:
+        if char == "(":
+            path.append(begun[-1])
+            begun[-1] += 1
+            begun.append(0)
+            preorder.append(tuple(path[1:]))
+        else:
+            begun.pop()
+            postorder.append(tuple(path[1:]))
+            path.pop()
+    return preorder, postorder

@@ -318,6 +318,22 @@ def test_no_function_calls_itself(path):
     assert recursive == []
 
 
+def test_sources_parse_as_python_3_10():
+    # the package supports Python 3.10, which CI runs but this suite may not:
+    # this checks the grammar only (no except*, no PEP 695 generics, ...),
+    # not which stdlib APIs a file calls
+    sources = sorted(Path(importlib.import_module("geode").__file__).parent.glob("*.py"))
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert sources and tests
+    rejected = []
+    for path in sources + tests:
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as error:
+            rejected.append(f"{path.name}: {error}")
+    assert rejected == []
+
+
 def test_value_contract_is_written_once():
     # only _Value sets the contract; each value class names just its _key and slots
     owners = {"__setattr__": set(), "__eq__": set(), "__hash__": set(), "__reduce__": set()}

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import geode.subdigons as subdigons_module
+import geode.trees as trees_module
 from geode import (
     LEAF,
     MarkedSubdigon,
@@ -32,12 +33,14 @@ from geode import (
     external_faces,
     hyper_catalan,
     post_order,
+    root_decompose,
     subdigon_to_tree,
     subdigon_type,
     tree_to_subdigon,
     tree_type,
     verify_bijections,
 )
+from oracles import node_paths
 
 V = TypeVector
 
@@ -83,10 +86,12 @@ def test_deep_chain_parses_without_recursion():
     assert tree == OrderedTree.parse(text)
     assert tree_to_subdigon(tree).serialize() == text
     assert tree_to_subdigon(tree) == deep
-    assert external_edges_ccw(deep) == [(0,) * 3000]
-    assert [(p, f.serialize()) for p, f in external_faces(deep)] == [
-        ((0,) * 2999, "(())")
-    ]
+    # the one boundary edge comes first, and the innermost bigon completes on it
+    assert external_edges_ccw(deep) == [0]
+    assert external_faces(deep) == [1] and deep.boundary[:2] == (0, 1)
+    _, postorder_paths = node_paths(text)
+    assert [postorder_paths[i] for i in external_edges_ccw(deep)] == [(0,) * 3000]
+    assert [postorder_paths[i] for i in external_faces(deep)] == [(0,) * 2999]
     assert count_initial_external_edges(deep) == 1
     n, marked = decompose_subdigon(deep)
     assert (n, marked.mark) == (1, 0)
@@ -161,29 +166,37 @@ def test_roundtrip_random(sub):
     assert subdigon_type(sub) == tree_type(subdigon_to_tree(sub))
 
 
+def _slot_path(sub, position):
+    """The slot path of the node at a boundary-word position, read off the text."""
+    _, postorder_paths = node_paths("()" if sub.is_trivial else sub.serialize())
+    return postorder_paths[position]
+
+
 def test_external_faces_examples():
     assert external_faces(TRIVIAL) == []
-    assert external_faces(TRIANGLE) == [((), TRIANGLE)]
-    assert len(external_faces(Subdigon.parse(SECT2_SUBDIGON))) == 3
+    assert external_faces(TRIANGLE) == [2]
+    assert _slot_path(TRIANGLE, 2) == ()  # the central face
+    sect2 = Subdigon.parse(SECT2_SUBDIGON)
+    faces = external_faces(sect2)
+    assert len(faces) == 3
+    assert [_slot_path(sect2, i) for i in faces] == [(0, 1, 0), (3, 0, 0), (3, 1)]
 
 
 def test_external_edges_examples():
-    assert external_edges_ccw(TRIVIAL) == [()]
-    assert external_edges_ccw(TRIANGLE) == [(0,), (1,)]
+    assert external_edges_ccw(TRIVIAL) == [0]
+    assert external_edges_ccw(TRIANGLE) == [0, 1]
+    assert [_slot_path(TRIANGLE, i) for i in external_edges_ccw(TRIANGLE)] == [(0,), (1,)]
 
 
 def test_walk_agrees_with_post_order_under_the_structure_map():
+    # a boundary-word position is the post-order rank of the tree image's node
     for m in enumerate_types(6):
         for sub in enumerate_subdigons(m):
             tree = subdigon_to_tree(sub)
-            leaf_paths = [p for p, node in post_order(tree) if node.is_leaf]
-            if sub.is_trivial:
-                assert external_edges_ccw(sub) == [()] and leaf_paths == [()]
-                continue
-            assert external_edges_ccw(sub) == leaf_paths
-            assert [p for p, _ in external_faces(sub)] == [
-                p for p, _ in clawed_nodes(tree)
-            ]
+            order = post_order(tree)
+            rank = {node: r for r, node in enumerate(order)}
+            assert external_edges_ccw(sub) == [rank[i] for i in order if not tree.word[i]]
+            assert external_faces(sub) == [rank[i] for i in clawed_nodes(tree)]
 
 
 def test_markable_edge_counts():
@@ -335,7 +348,8 @@ def test_compose_glues_onto_the_edge_the_boundary_walk_lists():
     for m in enumerate_types(5):
         for marked in enumerate_marked_subdigons(m):
             edge = external_edges_ccw(marked.subdigon)[marked.mark]
-            expected = _glued(marked.subdigon, edge, Subdigon((None, None)))
+            path = _slot_path(marked.subdigon, edge)
+            expected = _glued(marked.subdigon, path, Subdigon((None, None)))
             assert compose_subdigon(2, marked) == expected
 
 
@@ -386,6 +400,16 @@ def test_hostile_depth_stays_linear():
         n, marked = decompose_subdigon(sub)
         assert marked.mark < marks
         assert compose_subdigon(n, marked) == sub
+        # the walks, in positions, at full depth
+        order = post_order(tree)
+        assert [tree.word[i] for i in order] == list(sub.boundary)
+        assert len(clawed_nodes(tree)) == len(external_faces(sub)) == 1
+        assert clawed_nodes(tree) == [trees_module._first_claw(tree.word)]
+        assert external_faces(sub) == [marked.mark + n]
+        assert external_edges_ccw(sub) == [r for r, i in enumerate(order) if not tree.word[i]]
+        children = tree.children
+        assert root_decompose(tree) == list(children)
+        assert OrderedTree(children) == tree
     assert time.process_time() - start < 5
 
 

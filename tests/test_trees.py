@@ -20,9 +20,10 @@ from geode import (
     enumerate_types,
     post_order,
     root_decompose,
+    tree_to_subdigon,
     tree_type,
 )
-from oracles import all_tree_brackets, bracket_initial_leaves, bracket_type
+from oracles import all_tree_brackets, bracket_initial_leaves, bracket_type, node_paths
 
 V = TypeVector
 
@@ -116,38 +117,46 @@ def test_enumeration_is_in_ascending_word_order():
 
 
 def test_post_order_examples():
-    assert post_order(LEAF) == [((), LEAF)]
+    assert post_order(LEAF) == [0]
 
-    kinds = [node.is_leaf for _, node in post_order(OrderedTree.parse("(()())"))]
-    assert kinds == [True, True, False]
+    tree = OrderedTree.parse("(()())")
+    assert [not tree.word[i] for i in post_order(tree)] == [True, True, False]
 
     # left comb: the inner pair is finished before its sibling leaf
-    paths = [path for path, _ in post_order(OrderedTree.parse("((()())())"))]
-    assert paths == [(0, 0), (0, 1), (0,), (1,), ()]
+    text = "((()())())"
+    order = post_order(OrderedTree.parse(text))
+    assert order == [2, 3, 1, 4, 0]
+    preorder_paths, _ = node_paths(text)
+    assert [preorder_paths[i] for i in order] == [(0, 0), (0, 1), (0,), (1,), ()]
 
 
 @given(random_trees)
 def test_post_order_properties(tree):
     order = post_order(tree)
-    paths = [path for path, _ in order]
-    assert len(set(paths)) == len(paths) == tree_type(tree).node_count
-    position = {path: i for i, path in enumerate(paths)}
-    for path, node in order:
-        for i in range(len(node.children)):
-            assert position[path + (i,)] < position[path]
+    word = tree.word
+    assert sorted(order) == list(range(tree_type(tree).node_count))  # a permutation
+    preorder_paths, postorder_paths = node_paths(tree.serialize())
+    paths = [preorder_paths[i] for i in order]
+    rank = {path: r for r, path in enumerate(paths)}
+    for path, i in zip(paths, order):
+        for child in range(word[i]):
+            assert rank[path + (child,)] < rank[path]
     # full post-order characterization: descendants precede ancestors and
     # sibling subtrees keep child order, i.e. lexicographic with open end
-    assert paths == sorted(paths, key=lambda p: p + (float("inf"),))
-    leaves = [path for path, node in order if node.is_leaf]
+    assert paths == sorted(paths, key=lambda p: p + (float("inf"),)) == postorder_paths
+    leaves = [i for i in order if not word[i]]
     assert leaves == sorted(leaves)  # left-to-right order
 
 
 def test_clawed_node_examples():
     assert clawed_nodes(LEAF) == []
-    assert clawed_nodes(OrderedTree.parse("(()())")) == [
-        ((), OrderedTree.parse("(()())"))
-    ]
-    assert len(clawed_nodes(OrderedTree.parse(SECT2_TREE))) == 3
+    assert clawed_nodes(OrderedTree.parse("(()())")) == [0]
+    assert clawed_nodes(OrderedTree.parse("(()(()()))")) == [2]
+    sect2 = OrderedTree.parse(SECT2_TREE)
+    claws = clawed_nodes(sect2)
+    assert len(claws) == 3
+    preorder_paths, _ = node_paths(SECT2_TREE)
+    assert [preorder_paths[i] for i in claws] == [(0, 1, 0), (3, 0, 0), (3, 1)]
 
 
 def test_first_internal_node_in_post_order_is_clawed():
@@ -155,10 +164,27 @@ def test_first_internal_node_in_post_order_is_clawed():
         if not m:
             continue
         for tree in enumerate_trees(m):
-            first_internal = next(
-                (path, node) for path, node in post_order(tree) if not node.is_leaf
-            )
+            first_internal = next(i for i in post_order(tree) if tree.word[i])
             assert first_internal == clawed_nodes(tree)[0]
+
+
+def _assert_walks_read_the_subdigon_image(tree):
+    # the stack pass shares no code with the structure map, nor the claw scan
+    # with _first_claw, so each checks the other by a second route
+    word = tree.word
+    assert [word[i] for i in post_order(tree)] == list(tree_to_subdigon(tree).boundary)
+    assert clawed_nodes(tree)[:1] == ([trees_module._first_claw(word)] if word[0] else [])
+
+
+def test_walks_read_the_subdigon_image_exhaustively():
+    for m in enumerate_types(8):
+        for tree in enumerate_trees(m):
+            _assert_walks_read_the_subdigon_image(tree)
+
+
+@given(random_trees)
+def test_walks_read_the_subdigon_image_random(tree):
+    _assert_walks_read_the_subdigon_image(tree)
 
 
 def test_count_initial_leaves_examples():

@@ -195,6 +195,14 @@ def test_a_mark_that_is_not_an_int_is_a_type_error(cls, parse, mark):
         pytest.param(
             lambda: Subdigon((None, OrderedTree())), "Subdigon or None", id="subdigon-tree"
         ),
+        pytest.param(lambda: MarkedTree("x", 0), "must be an OrderedTree", id="marked-tree-str"),
+        pytest.param(
+            lambda: MarkedTree(TRIVIAL, 0), "must be an OrderedTree", id="marked-tree-subdigon"
+        ),
+        pytest.param(lambda: MarkedSubdigon("x", 0), "must be a Subdigon", id="marked-subdigon-str"),
+        pytest.param(
+            lambda: MarkedSubdigon(OrderedTree(), 0), "must be a Subdigon", id="marked-subdigon-tree"
+        ),
     ],
 )
 def test_a_child_that_is_not_a_value_is_a_type_error(build, expected):
