@@ -19,11 +19,12 @@ from math import factorial, prod
 from operator import mul
 
 from .reports import CheckGroup, Mismatch, VerificationReport
-from .series import TruncatedSeries, TypeVector, _graded_layout, mismatches_between
+from .series import TruncatedSeries, TypeVector, _graded_layout, _require_type, mismatches_between
 
 
 def hyper_catalan(m: TypeVector) -> int:
     """The exact hyper-Catalan number C(m); grows factorially with the weight."""
+    _require_type(m)
     return factorial(m.edge_weight) // (factorial(m.leaf_count) * prod(map(factorial, m.entries)))
 
 

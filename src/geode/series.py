@@ -186,6 +186,12 @@ def _require_bound(bound: int) -> None:
         raise ValueError(f"bound must be nonnegative, got {bound}")
 
 
+def _require_type(m: TypeVector) -> None:
+    """Reject a type that is not a ``TypeVector``, such as its text or its entries."""
+    if not isinstance(m, TypeVector):
+        raise TypeError(f"a type must be a TypeVector, got {m!r}")
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: True or 2.0 misses, and the check below rejects it
 def _graded_layout(bound: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Entry tuples of every vector of weight <= bound, in graded order, and the

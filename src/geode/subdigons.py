@@ -45,7 +45,7 @@ from operator import attrgetter, sub as subtract
 
 from .hypercatalan import hyper_catalan
 from .reports import CheckGroup, Mismatch, VerificationReport
-from .series import TypeVector, _trimmed, _Value, enumerate_types
+from .series import TypeVector, _require_type, _trimmed, _Value, enumerate_types
 from .trees import (
     OrderedTree,
     Word,
@@ -198,38 +198,40 @@ def subdigon_to_tree(sub: Subdigon) -> OrderedTree:
     Boundary edges turn into leaves and glued subdigons into subtrees, so
     types are preserved.  The boundary word is the tree's post-order word.
     """
-    return _tree(_retraverse(sub.boundary, -1))
+    return _tree(_retraverse(sub.boundary[::-1])[::-1])
 
 
 def tree_to_subdigon(tree: OrderedTree) -> Subdigon:
     """Inverse structure map: glue a face of size n + 1 per n-child node."""
-    return _subdigon(_retraverse(tree.word, 1))
+    return _subdigon(_retraverse(tree.word))
 
 
-def _retraverse(word: Word, step: int) -> Word:
-    """A tree's preorder word in post-order (step 1), or its post-order word in preorder (-1).
+def _retraverse(word: Word) -> Word:
+    """A tree's preorder word in post-order, in one stack pass.
 
-    Either walk meets each node before its children: forward over preorder,
-    or back over post-order, last child first.  A node closes at the leaf
-    where the walk leaves its subtree, and its place in the other order is
-    that leaf's, less its depth going forward or plus it going back; every
-    other place holds a leaf's 0.
+    Each leaf is written, then every node it closes, innermost first.  An
+    open node holds one stack entry per child still open or to come: its
+    letter for the last child, under a 0 for each other.  A closing child
+    pops one entry, and the letter coming off closes the node in turn.
+
+    The same pass maps back, by the mirror identity: a post-order word read
+    backwards is the preorder word of the mirror tree, and that tree's
+    post-order word is the original preorder word read backwards.
     """
-    out = [0] * len(word)
-    nodes: list[int] = []  # the letters of the open nodes
-    pending: list[int] = []  # the children each open node has yet to close
-    for i in range(len(word))[::step]:
-        letter = word[i]
+    out: list[int] = []
+    write = out.append
+    stack: list[int] = []
+    for letter in word:
         if letter:
-            nodes.append(letter)
-            pending.append(letter)
+            stack.append(letter)
+            stack += (0,) * (letter - 1)
             continue
-        while pending:  # a leaf closes a child, and may close its ancestors
-            pending[-1] -= 1
-            if pending[-1]:
+        write(0)
+        while stack:  # the leaf closes a child, and may close its ancestors
+            top = stack.pop()
+            if not top:
                 break
-            pending.pop()
-            out[i - step * len(pending)] = nodes.pop()
+            write(top)
     return tuple(out)
 
 
@@ -274,6 +276,7 @@ def enumerate_subdigons(m: TypeVector) -> list[Subdigon]:
     distributing the remaining faces behind its n non-roof edges over all
     ordered type compositions.  Independent of the tree enumerator.
     """
+    _require_type(m)
     # build the smaller types first, so every nested lookup is a cache hit:
     # a part of a type precedes it in _subvectors' lexicographic order
     for part in _subvectors(m.entries):
@@ -359,6 +362,8 @@ def compose_subdigon(n: int, marked: MarkedSubdigon) -> Subdigon:
     Inverse of decompose_subdigon; gluing onto the trivial subdigon yields
     the bare (n + 2)-gon with a single face.
     """
+    if type(n) is not int:
+        raise TypeError(f"child count must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"a face needs at least one non-roof edge, got n={n}")
     # a markable edge comes before every face letter, so it is letter `mark`
@@ -383,20 +388,27 @@ def verify_bijections(bound: int) -> VerificationReport:
     coverage = _Tally("deletion bijects onto marked structures")
     square = _Tally("deletion commutes with the structure map")
 
-    # each map runs once per object: the subdigon side reuses the tree side's
-    # images and decompositions by tree, a deletion's tree image is read from
-    # the lighter type that enumerated it, and each reduced type's marked
-    # lists are enumerated once for every heavier type.  Objects are kept as
-    # their words (a subdigon's boundary word is its equality key), so sets
-    # and dicts hash tuples.
+    # each map runs once per object: the subdigons are mapped first, so the
+    # tree side reads its round trip from their images, and the subdigon side
+    # reuses the tree side's images and decompositions by tree; a deletion's
+    # tree image is read from the lighter type that enumerated it, and each
+    # reduced type's marked lists are enumerated once for every heavier type.
+    # Objects are kept as their words (a subdigon's boundary word is its
+    # equality key), so sets and dicts hash tuples, and a type is compared as
+    # the sorted letters its words spend.
     marked_lists: dict[TypeVector, tuple[list[tuple[Word, int]], list[tuple[Word, int]]]] = {}
     tree_of: dict[Word, Word] = {}  # boundary word -> tree word, of every subdigon so far
 
     for m in enumerate_types(bound):
-        entries = m.entries  # the types are compared as these count tuples
+        entries = m.entries
+        # m_n letters n and a 0 per leaf, ascending
+        letters = [n for n, k in enumerate((m.leaf_count, *entries)) for _ in range(k)]
         trees = enumerate_trees(m)
         subs = enumerate_subdigons(m)
         counts.add(m, 2 * hyper_catalan(m), len(trees) + len(subs))
+        inverse = list(map(subdigon_to_tree, subs))
+        for s, t in zip(subs, inverse):
+            tree_of[s.boundary] = t.word
 
         images: dict[Word, Word] = {}
         decompositions: dict[Word, tuple[int, Word, int]] = {}
@@ -406,22 +418,23 @@ def verify_bijections(bound: int) -> VerificationReport:
         for t in trees:
             word = t.word
             s = tree_to_subdigon(t)
-            if subdigon_to_tree(s).word == word and _degree_counts(s.boundary) == entries:
+            image = images[word] = s.boundary
+            # an image no enumeration reached can only come from a corrupted map
+            back = tree_of.get(image) or subdigon_to_tree(s).word
+            if back == word and sorted(image) == letters:
                 mapped += 1
-            images[word] = s.boundary
             if entries:  # the one-node tree has nothing to delete
                 n, marked = decompose_tree(t)
                 if compose_tree(n, marked).word == word:
                     restored += 1
                 decompositions[word] = got = (n, marked.tree.word, marked.mark)
                 got_tree.add(got)
-        for s in subs:
+        for s, t in zip(subs, inverse):
             key = s.boundary
-            t = subdigon_to_tree(s)
-            word = tree_of[key] = t.word
+            word = t.word
             # under a corrupted map, t may be a tree the tree side never reached
             image = images.get(word) or tree_to_subdigon(t).boundary
-            if image == key and _degree_counts(word) == entries:
+            if image == key and sorted(word) == letters:
                 mapped += 1
             if entries:
                 n, marked = decompose_subdigon(s)

@@ -26,7 +26,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Iterator
 
-from .series import TypeVector, _Value
+from .series import TypeVector, _require_type, _Value
 
 Word = tuple[int, ...]
 
@@ -219,6 +219,7 @@ def _words(m: TypeVector) -> Iterator[Word]:
     each proper prefix leaves a child slot open (the root has one; a letter
     d fills one and opens d).  Backtracks in a loop.
     """
+    _require_type(m)
     counts = [m.leaf_count, *m.entries]  # letters still to place, by degree
     internal = m.node_count - m.leaf_count
     slots = 1  # open child slots after the prefix
@@ -346,6 +347,8 @@ def decompose_tree(tree: OrderedTree) -> tuple[int, MarkedTree]:
 
 def compose_tree(n: int, marked: MarkedTree) -> OrderedTree:
     """Attach n leaf children to the marked leaf; inverse of decompose_tree."""
+    if type(n) is not int:
+        raise TypeError(f"child count must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"child count must be positive, got {n}")
     word = marked.tree.word

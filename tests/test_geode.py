@@ -5,7 +5,12 @@ import pytest
 from geode import (
     NegativeGeodeCoefficientError,
     TypeVector,
+    count_marked_subdigons,
     count_marked_trees,
+    enumerate_marked_subdigons,
+    enumerate_marked_trees,
+    enumerate_subdigons,
+    enumerate_trees,
     enumerate_types,
     geode_series,
     grading_key,
@@ -236,3 +241,21 @@ def test_a_bound_that_is_not_an_int_is_a_type_error(build, bound):
     build(int(bound))
     with pytest.raises(TypeError, match=message):
         build(bound)
+
+
+@pytest.mark.parametrize("m", ["1,1", (1, 1), None])
+@pytest.mark.parametrize(
+    "build",
+    [
+        enumerate_trees,
+        enumerate_marked_trees,
+        count_marked_trees,
+        enumerate_subdigons,
+        enumerate_marked_subdigons,
+        count_marked_subdigons,
+        hyper_catalan,
+    ],
+)
+def test_a_type_that_is_not_a_type_vector_is_a_type_error(build, m):
+    with pytest.raises(TypeError, match=f"^a type must be a TypeVector, got {re.escape(repr(m))}$"):
+        build(m)

@@ -16,6 +16,8 @@ from geode import (
     TruncatedSeries,
     TypeVector,
     VerificationReport,
+    compose_subdigon,
+    compose_tree,
     hyper_catalan_series,
 )
 from geode.series import _Value
@@ -202,6 +204,23 @@ def test_a_mark_that_is_not_an_int_is_a_type_error(cls, parse, mark):
         pytest.param(lambda: MarkedSubdigon("x", 0), "must be a Subdigon", id="marked-subdigon-str"),
         pytest.param(
             lambda: MarkedSubdigon(OrderedTree(), 0), "must be a Subdigon", id="marked-subdigon-tree"
+        ),
+        # a bool child count would be stored in the word as is
+        *(
+            pytest.param(
+                lambda n=n: compose_tree(n, MarkedTree.parse("(*())")),
+                "child count must be an int",
+                id=f"compose-tree-{type(n).__name__}",
+            )
+            for n in (True, 2.0, "2")
+        ),
+        *(
+            pytest.param(
+                lambda n=n: compose_subdigon(n, MarkedSubdigon(Subdigon.parse("(()())"), 0)),
+                "child count must be an int",
+                id=f"compose-subdigon-{type(n).__name__}",
+            )
+            for n in (True, 2.0, "2")
         ),
     ],
 )
