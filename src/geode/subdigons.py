@@ -189,6 +189,8 @@ def _marked_subdigon(subdigon: Subdigon, mark: int) -> MarkedSubdigon:
 
 def subdigon_type(sub: Subdigon) -> TypeVector:
     """Face-size counts: entry n is the number of faces with n + 1 edges."""
+    if not isinstance(sub, Subdigon):
+        raise TypeError(f"subdigon must be a Subdigon, got {sub!r}")
     return TypeVector(_degree_counts(sub.boundary))  # the letters count faces by size
 
 
@@ -198,11 +200,15 @@ def subdigon_to_tree(sub: Subdigon) -> OrderedTree:
     Boundary edges turn into leaves and glued subdigons into subtrees, so
     types are preserved.  The boundary word is the tree's post-order word.
     """
+    if not isinstance(sub, Subdigon):
+        raise TypeError(f"subdigon must be a Subdigon, got {sub!r}")
     return _tree(_retraverse(sub.boundary[::-1])[::-1])
 
 
 def tree_to_subdigon(tree: OrderedTree) -> Subdigon:
     """Inverse structure map: glue a face of size n + 1 per n-child node."""
+    if not isinstance(tree, OrderedTree):
+        raise TypeError(f"tree must be an OrderedTree, got {tree!r}")
     return _subdigon(_retraverse(tree.word))
 
 
@@ -347,6 +353,8 @@ def decompose_subdigon(sub: Subdigon) -> tuple[int, MarkedSubdigon]:
     now a boundary edge carrying the mark.  Deleting the central face of a
     one-face subdigon leaves the marked trivial subdigon.
     """
+    if not isinstance(sub, Subdigon):
+        raise TypeError(f"subdigon must be a Subdigon, got {sub!r}")
     if sub.is_trivial:
         raise ValueError("the trivial subdigon has no face to delete")
     word = sub.boundary
@@ -366,6 +374,8 @@ def compose_subdigon(n: int, marked: MarkedSubdigon) -> Subdigon:
         raise TypeError(f"child count must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"a face needs at least one non-roof edge, got n={n}")
+    if not isinstance(marked, MarkedSubdigon):
+        raise TypeError(f"marked must be a MarkedSubdigon, got {marked!r}")
     # a markable edge comes before every face letter, so it is letter `mark`
     word, mark = marked.subdigon.boundary, marked.mark
     return _subdigon(word[:mark] + (0,) * n + (n,) + word[mark + 1 :])
@@ -388,16 +398,13 @@ def verify_bijections(bound: int) -> VerificationReport:
     coverage = _Tally("deletion bijects onto marked structures")
     square = _Tally("deletion commutes with the structure map")
 
-    # each map runs once per object: the subdigons are mapped first, so the
-    # tree side reads its round trip from their images, and the subdigon side
-    # reuses the tree side's images and decompositions by tree; a deletion's
-    # tree image is read from the lighter type that enumerated it, and each
-    # reduced type's marked lists are enumerated once for every heavier type.
-    # Objects are kept as their words (a subdigon's boundary word is its
-    # equality key), so sets and dicts hash tuples, and a type is compared as
-    # the sorted letters its words spend.
-    marked_lists: dict[TypeVector, tuple[list[tuple[Word, int]], list[tuple[Word, int]]]] = {}
+    # Each map runs once per object, into a table of this type keyed by words
+    # (a subdigon's boundary word is its equality key), and every group then
+    # compares table entries: a lookup that misses is a failed comparison.  A
+    # type is compared as the sorted letters its words spend.
     tree_of: dict[Word, Word] = {}  # boundary word -> tree word, of every subdigon so far
+    # each reduced type's marked structures as (word, mark), enumerated once
+    marked_words: dict[TypeVector, tuple[list[tuple[Word, int]], ...]] = {}
 
     for m in enumerate_types(bound):
         entries = m.entries
@@ -405,74 +412,51 @@ def verify_bijections(bound: int) -> VerificationReport:
         letters = [n for n, k in enumerate((m.leaf_count, *entries)) for _ in range(k)]
         trees = enumerate_trees(m)
         subs = enumerate_subdigons(m)
-        counts.add(m, 2 * hyper_catalan(m), len(trees) + len(subs))
-        inverse = list(map(subdigon_to_tree, subs))
-        for s, t in zip(subs, inverse):
-            tree_of[s.boundary] = t.word
-
-        images: dict[Word, Word] = {}
-        decompositions: dict[Word, tuple[int, Word, int]] = {}
-        got_tree: set[tuple[int, Word, int]] = set()
-        got_sub: set[tuple[int, Word, int]] = set()
-        mapped = restored = commuting = 0
-        for t in trees:
-            word = t.word
-            s = tree_to_subdigon(t)
-            image = images[word] = s.boundary
-            # an image no enumeration reached can only come from a corrupted map
-            back = tree_of.get(image) or subdigon_to_tree(s).word
-            if back == word and sorted(image) == letters:
-                mapped += 1
-            if entries:  # the one-node tree has nothing to delete
-                n, marked = decompose_tree(t)
-                if compose_tree(n, marked).word == word:
-                    restored += 1
-                decompositions[word] = got = (n, marked.tree.word, marked.mark)
-                got_tree.add(got)
-        for s, t in zip(subs, inverse):
-            key = s.boundary
-            word = t.word
-            # under a corrupted map, t may be a tree the tree side never reached
-            image = images.get(word) or tree_to_subdigon(t).boundary
-            if image == key and sorted(word) == letters:
-                mapped += 1
-            if entries:
-                n, marked = decompose_subdigon(s)
-                if compose_subdigon(n, marked).boundary == key:
-                    restored += 1
-                stripped = marked.subdigon.boundary
-                got_sub.add((n, stripped, marked.mark))
-                if word not in decompositions:
-                    n_tree, marked_tree = decompose_tree(t)
-                    decompositions[word] = (n_tree, marked_tree.tree.word, marked_tree.mark)
-                # a deletion no lighter type enumerated can only come from a corrupted map
-                stripped_tree = tree_of.get(stripped) or subdigon_to_tree(marked.subdigon).word
-                if decompositions[word] == (n, stripped_tree, marked.mark):
-                    commuting += 1
-        roundtrip.add(m, len(trees) + len(subs), mapped)
-        if not entries:
+        size = len(trees) + len(subs)
+        counts.add(m, 2 * hyper_catalan(m), size)
+        image = {t.word: tree_to_subdigon(t).boundary for t in trees}
+        inverse = {s.boundary: subdigon_to_tree(s).word for s in subs}
+        tree_of.update(inverse)
+        mapped = sum(inverse.get(s) == t and sorted(s) == letters for t, s in image.items())
+        mapped += sum(image.get(t) == s and sorted(t) == letters for s, t in inverse.items())
+        roundtrip.add(m, size, mapped)
+        if not entries:  # the one-node tree and the trivial subdigon have nothing to delete
             continue
-        strip.add(m, len(trees) + len(subs), restored)
 
-        reduced = [
-            (n, m - TypeVector.unit(n))
-            for n in range(1, len(entries) + 1)
-            if m.multiplicity(n)
-        ]
-        for _, k in reduced:
-            if k not in marked_lists:
-                marked_lists[k] = (
+        # word -> (n, stripped word, mark)
+        cut_tree: dict[Word, tuple[int, Word, int]] = {}
+        cut_sub: dict[Word, tuple[int, Word, int]] = {}
+        restored = 0
+        for t in trees:
+            n, marked_tree = decompose_tree(t)
+            restored += compose_tree(n, marked_tree).word == t.word
+            cut_tree[t.word] = (n, marked_tree.tree.word, marked_tree.mark)
+        for s in subs:
+            n, marked_sub = decompose_subdigon(s)
+            restored += compose_subdigon(n, marked_sub).boundary == s.boundary
+            cut_sub[s.boundary] = (n, marked_sub.subdigon.boundary, marked_sub.mark)
+        strip.add(m, size, restored)
+
+        reduced = {n: m - TypeVector.unit(n) for n, m_n in enumerate(entries, 1) if m_n}
+        for k in reduced.values():
+            if k not in marked_words:
+                marked_words[k] = (
                     [(x.tree.word, x.mark) for x in enumerate_marked_trees(k)],
                     [(x.subdigon.boundary, x.mark) for x in enumerate_marked_subdigons(k)],
                 )
-        want_tree = {(n, *pair) for n, k in reduced for pair in marked_lists[k][0]}
-        want_sub = {(n, *pair) for n, k in reduced for pair in marked_lists[k][1]}
-        coverage.add(
-            m,
-            len(want_tree) + len(want_sub),
-            len(want_tree & got_tree) + len(want_sub & got_sub)
-            if len(got_tree) == len(trees) and len(got_sub) == len(subs)
-            else -1,
+        # wanted structures reached less wanted ones missed, per side: this
+        # is the side's object count only if its deletions are distinct, all
+        # wanted, and miss nothing wanted
+        reached = 0
+        for side, cut in enumerate((cut_tree, cut_sub)):
+            want = {(n, *pair) for n, k in reduced.items() for pair in marked_words[k][side]}
+            got = set(cut.values())
+            reached += len(got & want) - len(want - got)
+        coverage.add(m, size, reached)
+        # a deletion's tree image is read from the lighter type's table
+        commuting = sum(
+            cut_tree.get(inverse[s]) == (n, tree_of.get(stripped), mark)
+            for s, (n, stripped, mark) in cut_sub.items()
         )
         square.add(m, len(subs), commuting)
 

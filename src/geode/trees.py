@@ -204,6 +204,8 @@ def _marked_tree(tree: OrderedTree, mark: int) -> MarkedTree:
 
 def tree_type(tree: OrderedTree) -> TypeVector:
     """Downdegree counts: entry n is the number of nodes with n children."""
+    if not isinstance(tree, OrderedTree):
+        raise TypeError(f"tree must be an OrderedTree, got {tree!r}")
     return TypeVector(_degree_counts(tree.word))
 
 
@@ -336,6 +338,8 @@ def decompose_tree(tree: OrderedTree) -> tuple[int, MarkedTree]:
     this realizes the bijection between trees of type m and pairs
     (n, marked tree of type m - e_n) behind S = 1 + (t_1 + t_2 + ...) G.
     """
+    if not isinstance(tree, OrderedTree):
+        raise TypeError(f"tree must be an OrderedTree, got {tree!r}")
     word = tree.word
     i = _first_claw(word)
     if i is None:
@@ -351,6 +355,8 @@ def compose_tree(n: int, marked: MarkedTree) -> OrderedTree:
         raise TypeError(f"child count must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"child count must be positive, got {n}")
+    if not isinstance(marked, MarkedTree):
+        raise TypeError(f"marked must be a MarkedTree, got {marked!r}")
     word = marked.tree.word
     i = -1
     for _ in range(marked.mark + 1):  # step to the mark-th leaf

@@ -418,6 +418,11 @@ def _failing_groups(report):
     return {group.label for group in report.groups if group.mismatches}
 
 
+def _coverage_mismatches(report):
+    (group,) = [g for g in report.groups if g.label == "deletion bijects onto marked structures"]
+    return group.mismatches
+
+
 def test_verify_bijections_detects_a_corrupted_structure_map(monkeypatch):
     real = subdigons_module.tree_to_subdigon
     target = OrderedTree.parse("((())())")  # the root's two subtrees differ
@@ -491,11 +496,9 @@ def test_verify_bijections_detects_a_wrong_mark_from_deletion(monkeypatch):
 
     assert real(target)[1] == MarkedSubdigon(TRIANGLE, 0)
     monkeypatch.setattr(subdigons_module, "decompose_subdigon", corrupted)
-    failing = _failing_groups(verify_bijections(4))
-    assert failing & {
-        "deletion bijects onto marked structures",
-        "deletion commutes with the structure map",
-    }
+    # both subdigons of type (0,2) now delete to the triangle marked 1: one
+    # wanted structure is reached and one is missed, so that side counts 0 of 2
+    assert _coverage_mismatches(verify_bijections(4)) == (("0,2", 4, 2),)
 
 
 def test_verify_bijections_reports_a_deletion_no_lighter_type_enumerated(monkeypatch):
@@ -508,7 +511,7 @@ def test_verify_bijections_reports_a_deletion_no_lighter_type_enumerated(monkeyp
         return (n, MarkedSubdigon(heavier, 0)) if sub == target else (n, marked)
 
     monkeypatch.setattr(subdigons_module, "decompose_subdigon", corrupted)
-    # the square finds no tree image for `heavier` from a lighter type, and maps it afresh
+    # no lighter type's table holds a tree image for `heavier`, and the miss is a failure
     assert "deletion commutes with the structure map" in _failing_groups(verify_bijections(4))
 
 
@@ -550,11 +553,7 @@ def test_verify_bijections_detects_a_wrong_mark_from_leaf_stripping(monkeypatch)
 
     assert real(target) == (2, MarkedTree(cherry, 0))
     monkeypatch.setattr(subdigons_module, "decompose_tree", corrupted)
-    failing = _failing_groups(verify_bijections(4))
-    assert failing & {
-        "deletion bijects onto marked structures",
-        "deletion commutes with the structure map",
-    }
+    assert _coverage_mismatches(verify_bijections(4)) == (("0,2", 4, 2),)
 
 
 def test_verify_bijections_detects_a_corrupted_leaf_attachment(monkeypatch):
@@ -569,3 +568,15 @@ def test_verify_bijections_detects_a_corrupted_leaf_attachment(monkeypatch):
 
     monkeypatch.setattr(subdigons_module, "compose_tree", corrupted)
     assert _failing_groups(verify_bijections(4)) == {"deletion/attachment round trips"}
+
+
+def test_verify_bijections_detects_a_short_wanted_set(monkeypatch):
+    real = subdigons_module.enumerate_marked_subdigons
+
+    def short(m):
+        marked = real(m)
+        return marked[:-1] if m == V((0, 1)) else marked
+
+    monkeypatch.setattr(subdigons_module, "enumerate_marked_subdigons", short)
+    # each heavier type's deletions reach a structure no longer wanted
+    assert _coverage_mismatches(verify_bijections(4)) == (("1,1", 6, 5), ("0,2", 4, 3))

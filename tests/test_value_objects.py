@@ -18,7 +18,13 @@ from geode import (
     VerificationReport,
     compose_subdigon,
     compose_tree,
+    decompose_subdigon,
+    decompose_tree,
     hyper_catalan_series,
+    subdigon_to_tree,
+    subdigon_type,
+    tree_to_subdigon,
+    tree_type,
 )
 from geode.series import _Value
 
@@ -222,6 +228,23 @@ def test_a_mark_that_is_not_an_int_is_a_type_error(cls, parse, mark):
             )
             for n in (True, 2.0, "2")
         ),
+        # a map handed the wrong class says so, rather than missing an attribute
+        pytest.param(lambda: compose_tree(2, "x"), "must be a MarkedTree", id="compose-tree-marked-str"),
+        pytest.param(
+            lambda: compose_subdigon(1, MarkedTree.parse("(*())")),
+            "must be a MarkedSubdigon",
+            id="compose-subdigon-marked-tree",
+        ),
+        pytest.param(lambda: decompose_tree("x"), "must be an OrderedTree", id="decompose-tree-str"),
+        pytest.param(lambda: decompose_subdigon("x"), "must be a Subdigon", id="decompose-subdigon-str"),
+        pytest.param(
+            lambda: tree_to_subdigon(TRIVIAL), "must be an OrderedTree", id="tree-to-subdigon-subdigon"
+        ),
+        pytest.param(
+            lambda: subdigon_to_tree(OrderedTree()), "must be a Subdigon", id="subdigon-to-tree-tree"
+        ),
+        pytest.param(lambda: tree_type("x"), "must be an OrderedTree", id="tree-type-str"),
+        pytest.param(lambda: subdigon_type("x"), "must be a Subdigon", id="subdigon-type-str"),
     ],
 )
 def test_a_child_that_is_not_a_value_is_a_type_error(build, expected):
