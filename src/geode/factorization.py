@@ -29,13 +29,9 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .hypercatalan import _hyper_catalan_graded, hyper_catalan_series
-from .reports import CheckGroup, Mismatch, VerificationReport
+from .reports import VerificationReport, compare
 from .series import (
-    TruncatedSeries,
-    TypeVector,
-    _graded_layout,
-    mismatches_between,
-    sum_of_variables,
+    TruncatedSeries, TypeVector, _coefficient_rows, _graded_layout, sum_of_variables
 )
 
 
@@ -117,26 +113,20 @@ def _solve(pairs: Iterable[tuple[tuple[int, ...], int]]) -> dict[tuple[int, ...]
 def verify_factorization(bound: int) -> VerificationReport:
     """Check S = 1 + (t_1 + ... + t_bound) G at every monomial up to the bound.
 
-    The recurrence only ever used the monomials containing t_1, so the
-    t_1-free monomials are reported as their own group of consistency
-    equations; the constant term is listed separately as well.
+    The constant term is its own group.  The recurrence only ever used the
+    monomials containing t_1, so the t_1-free monomials are reported as their
+    own group of consistency equations.  Each group counts the comparisons it
+    makes.  T = t_1 + t_2 + ... has no constant term, so G's grade B times T
+    lands past the bound B: this check pins G only below B, and leaves G's top
+    grade to grade-sums and marked-*.
     """
     s = hyper_catalan_series(bound)
     recomposed = TruncatedSeries.one(bound) + sum_of_variables(bound) * geode_series(bound)
-    defining: list[Mismatch] = []
-    consistency: list[Mismatch] = []
-    for m, expected, actual in mismatches_between(s, recomposed):
-        bucket = defining if m.multiplicity(1) else consistency
-        bucket.append(Mismatch(m.text, expected, actual))
-    entries = _graded_layout(bound)[0]
-    n_defining = sum(1 for e in entries if e and e[0])
-    n_consistency = len(entries) - 1 - n_defining  # less the constant term
+    constant, *rest = _coefficient_rows(s, recomposed)  # graded: the empty entries come first
     groups = (
-        CheckGroup("constant term", 1),
-        CheckGroup("defining equations (t_1 present)", n_defining, tuple(defining)),
-        CheckGroup(
-            "consistency equations (t_1 absent)", n_consistency, tuple(consistency)
-        ),
+        compare("constant term", [constant]),
+        compare("defining equations (t_1 present)", [r for r in rest if r[0][0]]),
+        compare("consistency equations (t_1 absent)", [r for r in rest if not r[0][0]]),
     )
     return VerificationReport("factorization", bound, groups)
 
@@ -157,12 +147,7 @@ def verify_grade_sums(bound: int) -> VerificationReport:
         ("G grade sums vs Catalan differences", g, differences),
     ):
         sums = [sum(series._grades.get(w, {}).values()) for w in range(bound + 1)]
-        mismatches = tuple(
-            Mismatch(f"weight {w}", wanted[w], got)
-            for w, got in enumerate(sums)
-            if got != wanted[w]
-        )
-        groups.append(CheckGroup(label, bound + 1, mismatches))
+        groups.append(compare(label, zip([f"weight {w}" for w in range(bound + 1)], wanted, sums)))
     return VerificationReport("grade-sums", bound, tuple(groups))
 
 
@@ -195,10 +180,8 @@ def verify_marked_subdigons(bound: int) -> VerificationReport:
 def _verify_counts(
     name: str, label: str, count: Callable[[TypeVector], int], bound: int
 ) -> VerificationReport:
-    rows = _counted(bound, (count,))
-    mismatches = tuple(Mismatch(m.text, g, c) for m, g, c in rows if g != c)
-    group = CheckGroup(f"coefficients vs {label} counts", len(rows), mismatches)
-    return VerificationReport(name, bound, (group,))
+    rows = ((m.entries, g, c) for m, g, c in _counted(bound, (count,)))
+    return VerificationReport(name, bound, (compare(f"coefficients vs {label} counts", rows),))
 
 
 def _counted(bound: int, counts: Sequence[Callable[[TypeVector], int]]) -> list[tuple]:

@@ -18,8 +18,8 @@ from itertools import accumulate
 from math import factorial, prod
 from operator import mul
 
-from .reports import CheckGroup, Mismatch, VerificationReport
-from .series import TruncatedSeries, TypeVector, _graded_layout, _require_type, mismatches_between
+from .reports import VerificationReport, compare
+from .series import TruncatedSeries, TypeVector, _coefficient_rows, _graded_layout, _require_type
 
 
 def hyper_catalan(m: TypeVector) -> int:
@@ -65,9 +65,5 @@ def verify_functional_equation(bound: int) -> VerificationReport:
         cut = bound - n
         power = power.with_bound(cut) * closed_form.with_bound(cut)
         rhs = rhs + TruncatedSeries.variable(n, bound) * power.with_bound(bound)
-    mismatches = tuple(
-        Mismatch(m.text, expected, actual)
-        for m, expected, actual in mismatches_between(closed_form, rhs)
-    )
-    group = CheckGroup("monomials", len(_graded_layout(bound)[0]), mismatches)
+    group = compare("monomials", _coefficient_rows(closed_form, rhs))
     return VerificationReport("functional-equation", bound, (group,))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class Mismatch(NamedTuple):
@@ -24,6 +24,29 @@ class CheckGroup(NamedTuple):
     @property
     def passed(self) -> bool:
         return not self.mismatches
+
+
+def compare(label: str, rows: Iterable[tuple]) -> CheckGroup:
+    """The group of these (key, expected, actual) rows, each one checked equality; a key
+    is a monomial's entry tuple, or already text such as "weight 3"."""
+    rows = list(rows)
+    return CheckGroup(label, len(rows), _unequal(rows))
+
+
+def tally(label: str, rows: Iterable[tuple]) -> CheckGroup:
+    """The group of these (key, objects expected, objects that passed) rows, keyed as
+    for ``compare``: the objects expected are the ones checked."""
+    rows = list(rows)
+    return CheckGroup(label, sum(expected for _, expected, _ in rows), _unequal(rows))
+
+
+def _unequal(rows: list[tuple]) -> tuple[Mismatch, ...]:
+    # only an unequal row's key is rendered: most rows are equal
+    return tuple(
+        Mismatch(key if isinstance(key, str) else ",".join(map(str, key)), expected, actual)
+        for key, expected, actual in rows
+        if expected != actual
+    )
 
 
 class VerificationReport(NamedTuple):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, chain, count, zip_longest
 from operator import add, attrgetter, mul
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 _Grades = dict[int, dict[tuple[int, ...], int]]  # weight -> {entries: coefficient}
 
@@ -298,6 +298,8 @@ class TruncatedSeries(_Value):
         return self.bound, frozenset(terms)
 
     def _check_bound(self, other: TruncatedSeries) -> None:
+        if not isinstance(other, TruncatedSeries):
+            raise TypeError(f"operand must be a TruncatedSeries, got {other!r}")
         if self.bound != other.bound:
             raise ValueError(f"bound mismatch: {self.bound} vs {other.bound}")
 
@@ -338,6 +340,8 @@ class TruncatedSeries(_Value):
         return TruncatedSeries._from_grades(bound, self._grades)
 
     def power(self, exponent: int) -> TruncatedSeries:
+        if type(exponent) is not int:
+            raise TypeError(f"exponent must be an int, got {exponent!r}")
         if exponent < 1:
             raise ValueError(f"exponent must be a positive integer, got {exponent}")
         result = self
@@ -360,8 +364,17 @@ def sum_of_variables(bound: int) -> TruncatedSeries:
 def mismatches_between(
     a: TruncatedSeries, b: TruncatedSeries
 ) -> list[tuple[TypeVector, int, int]]:
-    """Where the series disagree, as (monomial, a-value, b-value): the support of a - b."""
-    return [(m, a.coefficient(m), b.coefficient(m)) for m in (a - b).support()]
+    """Where the series disagree, as (monomial, a-value, b-value), in graded order."""
+    return [(TypeVector(e), x, y) for e, x, y in _coefficient_rows(a, b) if x != y]
+
+
+def _coefficient_rows(a: TruncatedSeries, b: TruncatedSeries) -> Iterator[tuple]:
+    """(entries, a-value, b-value) for every monomial up to the series' common bound, in
+    graded order and zeros included: each row is one comparison."""
+    a._check_bound(b)
+    # an entry tuple has exactly one weight, so one dict holds all of a series' terms
+    terms_a, terms_b = ({e: c for t in s._grades.values() for e, c in t.items()} for s in (a, b))
+    return ((e, terms_a.get(e, 0), terms_b.get(e, 0)) for e in _graded_layout(a.bound)[0])
 
 
 def _format_term(monomial: TypeVector, value: int) -> str:

@@ -44,7 +44,7 @@ from itertools import chain, compress, count, product
 from operator import attrgetter, sub as subtract
 
 from .hypercatalan import hyper_catalan
-from .reports import CheckGroup, Mismatch, VerificationReport
+from .reports import VerificationReport, tally
 from .series import TypeVector, _require_type, _trimmed, _Value, enumerate_types
 from .trees import (
     OrderedTree,
@@ -392,11 +392,8 @@ def verify_bijections(bound: int) -> VerificationReport:
     entries record how many objects (expected vs observed) survived each
     check for the offending monomial.
     """
-    roundtrip = _Tally("structure maps invert each other and preserve type")
-    counts = _Tally("direct enumeration counts match the closed form")
-    strip = _Tally("deletion/attachment round trips")
-    coverage = _Tally("deletion bijects onto marked structures")
-    square = _Tally("deletion commutes with the structure map")
+    # one (type, objects expected, objects that passed) row per type and group
+    roundtrip, counts, strip, coverage, square = [], [], [], [], []
 
     # Each map runs once per object, into a table of this type keyed by words
     # (a subdigon's boundary word is its equality key), and every group then
@@ -413,13 +410,13 @@ def verify_bijections(bound: int) -> VerificationReport:
         trees = enumerate_trees(m)
         subs = enumerate_subdigons(m)
         size = len(trees) + len(subs)
-        counts.add(m, 2 * hyper_catalan(m), size)
+        counts.append((entries, 2 * hyper_catalan(m), size))
         image = {t.word: tree_to_subdigon(t).boundary for t in trees}
         inverse = {s.boundary: subdigon_to_tree(s).word for s in subs}
         tree_of.update(inverse)
         mapped = sum(inverse.get(s) == t and sorted(s) == letters for t, s in image.items())
         mapped += sum(image.get(t) == s and sorted(t) == letters for s, t in inverse.items())
-        roundtrip.add(m, size, mapped)
+        roundtrip.append((entries, size, mapped))
         if not entries:  # the one-node tree and the trivial subdigon have nothing to delete
             continue
 
@@ -435,7 +432,7 @@ def verify_bijections(bound: int) -> VerificationReport:
             n, marked_sub = decompose_subdigon(s)
             restored += compose_subdigon(n, marked_sub).boundary == s.boundary
             cut_sub[s.boundary] = (n, marked_sub.subdigon.boundary, marked_sub.mark)
-        strip.add(m, size, restored)
+        strip.append((entries, size, restored))
 
         reduced = {n: m - TypeVector.unit(n) for n, m_n in enumerate(entries, 1) if m_n}
         for k in reduced.values():
@@ -452,32 +449,19 @@ def verify_bijections(bound: int) -> VerificationReport:
             want = {(n, *pair) for n, k in reduced.items() for pair in marked_words[k][side]}
             got = set(cut.values())
             reached += len(got & want) - len(want - got)
-        coverage.add(m, size, reached)
+        coverage.append((entries, size, reached))
         # a deletion's tree image is read from the lighter type's table
         commuting = sum(
             cut_tree.get(inverse[s]) == (n, tree_of.get(stripped), mark)
             for s, (n, stripped, mark) in cut_sub.items()
         )
-        square.add(m, len(subs), commuting)
+        square.append((entries, len(subs), commuting))
 
-    groups = tuple(
-        tally.group() for tally in (roundtrip, counts, strip, coverage, square)
+    groups = (
+        tally("structure maps invert each other and preserve type", roundtrip),
+        tally("direct enumeration counts match the closed form", counts),
+        tally("deletion/attachment round trips", strip),
+        tally("deletion bijects onto marked structures", coverage),
+        tally("deletion commutes with the structure map", square),
     )
     return VerificationReport("bijections", bound, groups)
-
-
-class _Tally:
-    """Accumulates per-monomial expected/observed counts into a CheckGroup."""
-
-    def __init__(self, label: str):
-        self.label = label
-        self.checked = 0
-        self.mismatches: list[Mismatch] = []
-
-    def add(self, m: TypeVector, expected: int, observed: int) -> None:
-        self.checked += expected
-        if expected != observed:
-            self.mismatches.append(Mismatch(m.text, expected, observed))
-
-    def group(self) -> CheckGroup:
-        return CheckGroup(self.label, self.checked, tuple(self.mismatches))

@@ -23,7 +23,7 @@ from geode import (
     verify_marked_subdigons,
     verify_marked_trees,
 )
-from geode import cli, hyper_catalan_series
+from geode import TruncatedSeries, cli, factorization, hyper_catalan_series
 from geode.factorization import _lifted_targets
 from geode.series import _graded_layout
 from oracles import catalan_numbers
@@ -89,6 +89,16 @@ def test_factorization_group_counts_match_the_types_up_to_weight_12():
         without_t1 = sum(1 for m in types if m and not m.multiplicity(1))
         report = verify_factorization(bound)
         assert [g.checked for g in report.groups] == [1, with_t1, without_t1]
+
+
+def test_a_wrong_constant_term_fails_in_the_constant_term_group(monkeypatch):
+    def corrupted(bound):  # S with constant term 2
+        return hyper_catalan_series(bound) + TruncatedSeries.one(bound)
+
+    monkeypatch.setattr(factorization, "hyper_catalan_series", corrupted)
+    constant, defining, consistency = verify_factorization(3).groups
+    assert (constant.label, constant.mismatches) == ("constant term", (("", 2, 1),))
+    assert defining.mismatches == consistency.mismatches == ()
 
 
 def test_nonnegativity():

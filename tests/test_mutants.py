@@ -1,0 +1,104 @@
+"""Named engine faults that ``geode verify`` must catch.
+
+Each mutant breaks one function of the engine; the full battery at weight 7
+must then exit 1, a reported mismatch rather than a crash, and name exactly
+the checks listed.  A mutant that every check passes would show a fault the
+verifications cannot see.
+"""
+
+import inspect
+import textwrap
+
+import pytest
+
+from geode import cli, factorization, hypercatalan, subdigons, trees
+from geode.series import TruncatedSeries
+from geode.subdigons import _marked_subdigon
+
+
+def _edited(func, old: str, new: str):
+    """``func`` rebuilt from its source with the one occurrence of ``old`` made ``new``."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, f"{old!r} not found once in {func.__qualname__}"
+    namespace = dict(vars(inspect.getmodule(func)))  # a copy: the module keeps its names
+    exec(source.replace(old, new), namespace)
+    return namespace[func.__name__]
+
+
+def _raised_at(real, index):
+    def mutant(*args):
+        values = list(real(*args))
+        values[index] += 1
+        return tuple(values)
+
+    return mutant
+
+
+def _next_claw(real):
+    def mutant(word):
+        i = real(word)
+        j = None if i is None else real(word[i + 1 :])
+        return i if j is None else i + 1 + j
+
+    return mutant
+
+
+def _decompose_marking_edge_0(real):
+    def mutant(sub):
+        n, marked = real(sub)
+        return n, _marked_subdigon(marked.subdigon, 0)
+
+    return mutant
+
+
+TAIL = "(ea[len(eb):] or eb[len(ea):])"  # the longer key's entries past the shorter one
+
+MUTANTS = {
+    "product drops the first tail entry of each key": (
+        TruncatedSeries, "__mul__",
+        lambda real: _edited(real, TAIL, TAIL + "[1:]"),
+        {"functional-equation", "factorization"},
+    ),
+    "hyper-Catalan value at index 5 raised by 1": (
+        hypercatalan, "_hyper_catalan_graded",
+        lambda real: _raised_at(real, 5),
+        {"functional-equation", "factorization", "grade-sums"},
+    ),
+    "last lifted target raised by 1": (
+        factorization, "_lifted_targets",
+        lambda real: _raised_at(real, -1),
+        {"marked-trees", "marked-subdigons", "grade-sums"},
+    ),
+    "first claw returns the next claw": (
+        trees, "_first_claw", _next_claw, {"marked-trees", "bijections"},
+    ),
+    "one more initial external edge": (
+        subdigons, "count_initial_external_edges",
+        lambda real: lambda sub: real(sub) + 1,
+        {"marked-subdigons", "bijections"},
+    ),
+    "retraversal swaps letters 1 and 2": (
+        subdigons, "_retraverse",
+        lambda real: lambda word: tuple({1: 2, 2: 1}.get(x, x) for x in real(word)),
+        {"bijections"},
+    ),
+    "face deletion marks edge 0": (
+        subdigons, "decompose_subdigon", _decompose_marking_edge_0, {"bijections"},
+    ),
+    "series keep only the grades below the bound": (
+        TruncatedSeries, "_from_grades",
+        lambda real: _edited(real, "w <= bound", "w < bound"),
+        {"grade-sums"},
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_verify_fails_on_each_mutant(capsys, monkeypatch, mutant):
+    owner, name, make, failing = MUTANTS[mutant]
+    monkeypatch.setattr(owner, name, make(getattr(owner, name)))
+    argv = ["verify", "--checks", "all,grade-sums", "--max-weight", "7", "--max-enum-weight", "7"]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert {line.split(" (")[0] for line in out.splitlines() if line.endswith(": FAIL")} == failing

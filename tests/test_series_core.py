@@ -1,5 +1,6 @@
 import ast
 import importlib
+import operator
 import sys
 from pathlib import Path
 
@@ -151,6 +152,19 @@ def test_power_requires_positive_exponent():
     s = TruncatedSeries.one(2)
     with pytest.raises(ValueError):
         s.power(0)
+
+
+@pytest.mark.parametrize("exponent", [True, 1.5, "2"])
+def test_power_requires_an_int_exponent(exponent):
+    with pytest.raises(TypeError, match="^exponent must be an int, got "):
+        TruncatedSeries.one(2).power(exponent)
+
+
+@pytest.mark.parametrize("operand", [5, None, {V.zero(): 1}])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, mismatches_between])
+def test_an_operand_that_is_not_a_series_is_a_type_error(op, operand):
+    with pytest.raises(TypeError, match="^operand must be a TruncatedSeries, got "):
+        op(TruncatedSeries.one(3), operand)
 
 
 def bounded_series(bound: int):
