@@ -184,10 +184,11 @@ def _cmd_s_table(args: argparse.Namespace) -> int:
     from .hypercatalan import _hyper_catalan_graded
     from .series import _graded_layout
 
-    pairs = zip(_graded_layout(args.max_weight)[0], _hyper_catalan_graded(args.max_weight))
-    if args.no_bigons:
-        pairs = ((e, c) for e, c in pairs if not e or not e[0])
-    _emit_table(_rows(pairs, args.max_weight), ["monomial", "coefficient"], args.format)
+    bound = args.max_weight
+    rows = zip(_texts(bound), _hyper_catalan_graded(bound))
+    if args.no_bigons:  # the one s-table path that reads the layout
+        rows = (row for row, e in zip(rows, _graded_layout(bound)[0]) if not e or not e[0])
+    _emit_table(rows, ["monomial", "coefficient"], args.format)
     return 0
 
 
@@ -197,7 +198,7 @@ def _cmd_g_table(args: argparse.Namespace) -> int:
     columns = ["monomial", "coefficient"]
     if not args.with_counts:
         g = _geode_coefficients(args.max_weight)
-        _emit_table(_rows(g.items(), args.max_weight), columns, args.format)
+        _emit_table(zip(_texts(args.max_weight), g.values()), columns, args.format)
         return 0
     _refuse_enumeration(args, args.max_weight, "--with-counts enumerates every tree and subdigon")
     # past the gate, so only --with-counts loads trees and subdigons
@@ -214,11 +215,17 @@ def _cmd_g_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rows(pairs: Iterable[tuple[tuple[int, ...], int]], bound: int) -> Iterable[tuple]:
-    """(monomial text, value) table rows from (entries, value) pairs of weight <= bound."""
-    # no entry exceeds the bound, so each entry's text is made once
-    text_of = [str(i) for i in range(bound + 1)].__getitem__
-    return ((",".join(map(text_of, e)), value) for e, value in pairs)
+def _texts(bound: int) -> list[str]:
+    """The text of every vector of weight <= bound, in ``_graded_layout(bound)``'s order."""
+    from .series import _graded_tails
+
+    # grade w is (w - r, *t) for t a tail of weight r: each tail's text is made once, commas first
+    tails = [["".join([f",{e}" for e in t]) for t in ts] for ts in _graded_tails(bound)]
+    texts = [""]  # grade 0, the one vector with no m_1 to print
+    for w in range(1, bound + 1):
+        for r in range(w + 1):
+            texts += map(str(w - r).__add__, tails[r])
+    return texts
 
 
 def _cmd_trees(args: argparse.Namespace) -> int:

@@ -26,7 +26,7 @@ numbers from the classical convolution recurrence, not the hyper-Catalan formula
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .hypercatalan import _hyper_catalan_graded, hyper_catalan_series
 from .reports import VerificationReport, compare
@@ -54,14 +54,9 @@ def _geode_coefficients(bound: int) -> dict[tuple[int, ...], int]:
     return _solve(zip(_graded_layout(bound)[0], _lifted_targets(bound)))
 
 
-def _lifted_targets(bound: int) -> Iterator[int]:
-    """C(k + e_1) for each k in ``_graded_layout(bound)``'s entries: with one more edge and
-    one more m_1 than k, and as many leaves, C(k + e_1) = C(k) * (w + 1) / (k_1 + 1) in grade w."""
-    (entries, starts), table = _graded_layout(bound), _hyper_catalan_graded(bound)
-    yield 1  # k = 0: C(e_1)
-    for w in range(1, bound + 1):
-        grade = slice(starts[w], starts[w + 1])
-        yield from (c * (w + 1) // (k[0] + 1) for k, c in zip(entries[grade], table[grade]))
+def _lifted_targets(bound: int) -> tuple[int, ...]:
+    """C(k + e_1) for each k in ``_graded_layout(bound)``'s entries."""
+    return _hyper_catalan_graded(bound, 1)
 
 
 def solve_factorization(

@@ -14,12 +14,12 @@ satisfying S = 1 + sum_{n >= 1} t_n S^n.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import factorial, prod
 from operator import mul
 
 from .reports import VerificationReport, compare
-from .series import TruncatedSeries, TypeVector, _coefficient_rows, _graded_layout, _require_type
+from .series import TruncatedSeries, TypeVector, _coefficient_rows, _graded_tails, _require_type
 
 
 def hyper_catalan(m: TypeVector) -> int:
@@ -28,20 +28,21 @@ def hyper_catalan(m: TypeVector) -> int:
     return factorial(m.edge_weight) // (factorial(m.leaf_count) * prod(map(factorial, m.entries)))
 
 
-def _hyper_catalan_graded(bound: int) -> tuple[int, ...]:
-    """C(m) for every m of weight <= bound, aligned with ``_graded_layout(bound)``'s entries.
+def _hyper_catalan_graded(bound: int, lift: int = 0) -> tuple[int, ...]:
+    """C(m + lift * e_1) for every m of weight <= bound, aligned with ``_graded_layout(bound)``.
 
-    Every vector of grade w has w edges, so one factorial table serves the
-    whole grade: C(m) = w! / ((1 + w - sum of m_n)! * product of m_n!).
+    With m = (w - r, *t), t = (m_2, m_3, ...) of weight r, the leaf count does not
+    depend on m_1, nor does d(t) = leaf_count! * m_2! * m_3! * ...: one divisor per tail
+    and one division per value, C(m + lift * e_1) = ((w + lift)! / (w + lift - r)!) // d(t).
     """
-    entries, starts = _graded_layout(bound)  # first, as it checks the bound
-    fact = list(accumulate(range(1, bound + 2), mul, initial=1))  # fact[n] = n!
+    tails = _graded_tails(bound)  # first, as it checks the bound
+    fact = list(accumulate(range(1, bound + lift + 2), mul, initial=1))  # fact[n] = n!
     get = fact.__getitem__
-    return tuple(
-        fact[w] // (fact[1 + w - sum(e)] * prod(map(get, e)))
-        for w in range(bound + 1)
-        for e in entries[starts[w]:starts[w + 1]]
-    )
+    d = [[get(1 + r - sum(t)) * prod(map(get, t)) for t in ts] for r, ts in enumerate(tails)]
+    return tuple(chain.from_iterable(
+        map((fact[w + lift] // fact[w + lift - r]).__floordiv__, d[r])
+        for w in range(bound + 1) for r in range(w + 1)  # m_1 = w - r descending, as in the layout
+    ))
 
 
 def hyper_catalan_series(bound: int) -> TruncatedSeries:

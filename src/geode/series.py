@@ -139,11 +139,15 @@ class TypeVector(_Value):
         return 1 + self.edge_weight
 
     def __add__(self, other: TypeVector) -> TypeVector:
+        if not isinstance(other, TypeVector):
+            return NotImplemented
         return TypeVector(
             tuple(a + b for a, b in zip_longest(self.entries, other.entries, fillvalue=0))
         )
 
     def __sub__(self, other: TypeVector) -> TypeVector:
+        if not isinstance(other, TypeVector):
+            return NotImplemented
         diff = tuple(a - b for a, b in zip_longest(self.entries, other.entries, fillvalue=0))
         if any(d < 0 for d in diff):
             raise ValueError(f"{self!r} - {other!r} has a negative entry")
@@ -165,6 +169,7 @@ def grading_key(m: TypeVector) -> tuple[int, tuple[int, ...]]:
     lexicographic on the entries, so t_1^2 precedes t_2 and t_1 t_2 precedes
     t_3.
     """
+    _require_type(m)
     return (m.edge_weight, tuple(-e for e in m.entries))
 
 
@@ -173,7 +178,7 @@ def enumerate_types(bound: int) -> list[TypeVector]:
 
     The grade of weight w is in bijection with the integer partitions of w
     (m_n = multiplicity of the part n), so the list grows by p(w) entries per
-    grade; the table of tails in ``_graded_layout`` holds them in this order.
+    grade; ``_graded_layout`` lists them in this order, built on ``_graded_tails``.
     """
     return list(map(TypeVector, _graded_layout(bound)[0]))
 
@@ -193,28 +198,36 @@ def _require_type(m: TypeVector) -> None:
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True or 2.0 misses, and the check below rejects it
-def _graded_layout(bound: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Entry tuples of every vector of weight <= bound, in graded order, and the
-    bound + 2 starts of their grades: grade w is ``entries[starts[w]:starts[w + 1]]``.
-
-    A table of tails, built from the largest part down: once part n is taken,
-    ``tails[r]`` holds every trimmed (m_n, m_(n+1), ...) of weight r, m_n
-    descending first.  At n = 1 entry w is grade w, in descending
-    lexicographic order, the tie-break of ``grading_key``.
-
-    >>> _graded_layout(4)[0][7:]
-    ((4,), (2, 1), (1, 0, 1), (0, 2), (0, 0, 0, 1))
+def _graded_tails(bound: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Entry r holds every trimmed tail (m_2, m_3, ...) of weight r <= bound, m_2 descending
+    first: built from the largest part down, each part n puts m_n before the tails of the rest.
     """
     _require_bound(bound)
     tails = [((),)] + [()] * bound  # with no part left, only weight 0 has a tail
-    for n in range(bound, 0, -1):
+    for n in range(bound, 1, -1):
         # tails[0] stays the empty tail, so m_n = 0 leads only nonempty ones: all trimmed
         shorter = tails
         tails = [((),)] + [
             tuple((m, *t) for m in range(r // n, -1, -1) for t in shorter[r - m * n])
             for r in range(1, bound + 1)
         ]
-    return tuple(chain.from_iterable(tails)), (0, *accumulate(map(len, tails)))
+    return tuple(tails)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _graded_layout(bound: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Entry tuples of every vector of weight <= bound, in graded order, and the
+    bound + 2 starts of their grades: grade w is ``entries[starts[w]:starts[w + 1]]``,
+    (w - r, *t) for r = 0, ..., w and t in ``_graded_tails(bound)[r]``.
+
+    >>> _graded_layout(4)[0][7:]
+    ((4,), (2, 1), (1, 0, 1), (0, 2), (0, 0, 0, 1))
+    """
+    tails = _graded_tails(bound)
+    grades = [((),)] + [  # grade 0's one vector has no m_1 = 0 to lead it
+        tuple((w - r, *t) for r in range(w + 1) for t in tails[r]) for w in range(1, bound + 1)
+    ]
+    return tuple(chain.from_iterable(grades)), (0, *accumulate(map(len, grades)))
 
 
 class TruncatedSeries(_Value):
@@ -239,6 +252,9 @@ class TruncatedSeries(_Value):
         _require_bound(bound)
         grades: _Grades = {}
         for m, value in (coeffs or {}).items():
+            _require_type(m)
+            if type(value) is not int:
+                raise TypeError(f"a coefficient must be an int, got {value!r}")
             if value != 0 and m.edge_weight <= bound:
                 grades.setdefault(m.edge_weight, {})[m.entries] = value
         object.__setattr__(self, "bound", bound)
@@ -274,6 +290,7 @@ class TruncatedSeries(_Value):
         return cls(bound, {TypeVector.unit(n): 1})
 
     def coefficient(self, monomial: TypeVector) -> int:
+        _require_type(monomial)
         return self._grades.get(monomial.edge_weight, {}).get(monomial.entries, 0)
 
     def items(self) -> list[tuple[TypeVector, int]]:

@@ -24,6 +24,7 @@ from geode import (
     hyper_catalan_series,
 )
 from geode.cli import main
+from geode.series import _graded_layout
 
 
 def run(capsys, *argv):
@@ -536,6 +537,25 @@ def test_tables_match_the_stdlib_encoders(capsys, command, fmt):
     for bound in range(9):
         argv = [*command.split(), "--max-weight", str(bound), "--format", fmt]
         assert run(capsys, *argv) == (0, stdlib_table(command, bound, fmt), "")
+
+
+@pytest.mark.parametrize("bound", range(17))
+def test_texts_are_the_layouts_monomials(bound):
+    assert cli._texts(bound) == [geode.TypeVector(e).text for e in _graded_layout(bound)[0]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_s_table_reads_no_layout(capsys, monkeypatch, fmt):
+    # the rows come from the tails' texts and the values alone; --no-bigons filters on the layout
+    argv = ["s-table", "--max-weight", "8", "--format", fmt]
+    expected = run(capsys, *argv)
+
+    def unreachable(bound):
+        raise AssertionError("s-table read the layout")
+
+    monkeypatch.setattr(geode.series, "_graded_layout", unreachable)
+    assert run(capsys, *argv) == expected
+    assert run(capsys, *argv, "--no-bigons")[0] == 3  # the stub is live
 
 
 @pytest.mark.parametrize("columns", [["monomial", "coefficient"], ["monomial", "a", "b"]])

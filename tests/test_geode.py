@@ -25,7 +25,7 @@ from geode import (
 )
 from geode import TruncatedSeries, cli, factorization, hyper_catalan_series
 from geode.factorization import _lifted_targets
-from geode.series import _graded_layout
+from geode.series import _graded_layout, _graded_tails
 from oracles import catalan_numbers
 
 V = TypeVector
@@ -154,7 +154,7 @@ def test_geode_recurrence_and_g_table_build_no_type_vector(capsys, monkeypatch):
 
 
 def test_lifted_targets_match_the_formula_at_k_plus_e1_up_to_weight_20():
-    # C(k + e_1) = C(k) (w + 1) / (k_1 + 1), against the formula at the lifted vector
+    # the lift = 1 table, against the formula at the lifted vector
     e1 = V.unit(1)
     for bound in (0, 1, 20):
         targets = list(_lifted_targets(bound))
@@ -245,6 +245,7 @@ def test_a_negative_bound_is_a_value_error(build):
 def test_a_bound_that_is_not_an_int_is_a_type_error(build, bound):
     # the type index is cached, and True == 1, 2.0 == 2: cold or warm, neither passes as an int
     _graded_layout.cache_clear()
+    _graded_tails.cache_clear()
     message = f"^bound must be an int, got {re.escape(repr(bound))}$"
     with pytest.raises(TypeError, match=message):
         build(bound)

@@ -4,9 +4,9 @@ Every side of a check runs alone under ``sys.setprofile``, which records the
 ``module.qualname`` of each geode function it calls.  A side that reached
 into the other route would make its check compare a route with itself, so
 each side has a forbidden set; the plumbing every side may share is
-``series._graded_layout``, ``series._trimmed``, ``TypeVector``, ``_Value``
-with ``_restore``, and the report records.  Loosening a forbidden set is a
-change of spec.
+``series._graded_layout``, ``series._graded_tails``, ``series._trimmed``,
+``TypeVector``, ``_Value`` with ``_restore``, and the report records.
+Loosening a forbidden set is a change of spec.
 """
 
 import sys
@@ -17,7 +17,7 @@ import pytest
 from geode import count_marked_subdigons, count_marked_trees, enumerate_types, hypercatalan
 from geode.factorization import _geode_coefficients
 from geode.hypercatalan import _hyper_catalan_graded
-from geode.series import _graded_layout
+from geode.series import _graded_layout, _graded_tails
 from geode.subdigons import _enumerate_subdigons_cached
 
 pytestmark = pytest.mark.skipif(
@@ -72,6 +72,7 @@ def reached(side) -> set[str]:
     """The ``module.qualname`` of every geode function that ``side()`` calls, from cold caches."""
     _enumerate_subdigons_cached.cache_clear()
     _graded_layout.cache_clear()
+    _graded_tails.cache_clear()
     names = set()
 
     def profile(frame, event, arg):

@@ -16,6 +16,7 @@ from geode import (
     mismatches_between,
     sum_of_variables,
 )
+from geode.series import _graded_layout, _graded_tails
 from oracles import partition_counts
 
 V = TypeVector
@@ -115,6 +116,17 @@ def test_enumerate_types_grade_sizes_match_partitions():
     assert sizes == expected
 
 
+@pytest.mark.parametrize("bound", range(21))
+def test_the_layout_is_each_m1_before_the_tails_of_the_rest(bound):
+    tails, (entries, starts) = _graded_tails(bound), _graded_layout(bound)
+    assert (len(tails), len(starts), starts[-1]) == (bound + 1, bound + 2, len(entries))
+    for w in range(bound + 1):
+        grade = entries[starts[w]:starts[w + 1]]
+        assert grade == tuple(V((w - r, *t)).entries for r in range(w + 1) for t in tails[r])
+        # the tails of weight w are grade w's vectors without t_1, less their m_1 = 0
+        assert tails[w] == tuple(e[1:] for e in grade if not e or not e[0])
+
+
 def test_series_addition_and_subtraction():
     a = TruncatedSeries(2, {V.zero(): 1, V((1,)): 2})
     b = TruncatedSeries(2, {V((1,)): 3, V((0, 1)): 1})
@@ -165,6 +177,35 @@ def test_power_requires_an_int_exponent(exponent):
 def test_an_operand_that_is_not_a_series_is_a_type_error(op, operand):
     with pytest.raises(TypeError, match="^operand must be a TruncatedSeries, got "):
         op(TruncatedSeries.one(3), operand)
+
+
+@pytest.mark.parametrize(
+    "op, operand",
+    [(operator.add, 5), (operator.sub, None), (operator.add, (1,)), (operator.sub, "1")],
+)
+def test_a_type_vector_plus_or_minus_a_non_vector_is_a_type_error(op, operand):
+    with pytest.raises(TypeError, match="^unsupported operand type"):
+        op(V((1,)), operand)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: TruncatedSeries(3).coefficient(m),
+        lambda m: TruncatedSeries(2, {m: 1}),
+        grading_key,
+    ],
+)
+@pytest.mark.parametrize("m", ["1", (1,), None])
+def test_a_monomial_that_is_not_a_type_vector_is_a_type_error(call, m):
+    with pytest.raises(TypeError, match="^a type must be a TypeVector, got "):
+        call(m)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, "1", True, None])
+def test_a_coefficient_that_is_not_an_int_is_a_type_error(value):
+    with pytest.raises(TypeError, match="^a coefficient must be an int, got "):
+        TruncatedSeries(2, {V((1,)): value})
 
 
 def bounded_series(bound: int):
