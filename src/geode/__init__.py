@@ -16,19 +16,16 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "factorization": "NegativeGeodeCoefficientError geode_series solve_factorization "
-    "verify_factorization verify_grade_sums verify_marked_subdigons verify_marked_trees",
+    "factorization": "NegativeGeodeCoefficientError geode_series verify_factorization "
+    "verify_grade_sums verify_marked_subdigons verify_marked_trees",
     "hypercatalan": "hyper_catalan hyper_catalan_series verify_functional_equation",
     "reports": "CheckGroup Mismatch VerificationReport",
-    "series": "TruncatedSeries TypeVector enumerate_types grading_key mismatches_between "
-    "sum_of_variables",
+    "series": "TruncatedSeries TypeVector enumerate_types sum_of_variables",
     "subdigons": "TRIVIAL MarkedSubdigon Subdigon compose_subdigon count_initial_external_edges "
     "count_marked_subdigons decompose_subdigon enumerate_marked_subdigons enumerate_subdigons "
-    "external_edges_ccw external_faces subdigon_to_tree subdigon_type tree_to_subdigon "
-    "verify_bijections",
-    "trees": "LEAF MarkedTree OrderedTree clawed_nodes compose_tree count_initial_leaves "
-    "count_marked_trees decompose_tree enumerate_marked_trees enumerate_trees post_order "
-    "root_decompose tree_type",
+    "subdigon_to_tree tree_to_subdigon verify_bijections",
+    "trees": "LEAF MarkedTree OrderedTree compose_tree count_initial_leaves count_marked_trees "
+    "decompose_tree enumerate_marked_trees enumerate_trees",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = {*_EXPORTS, "cli"}

@@ -26,7 +26,7 @@ numbers from the classical convolution recurrence, not the hyper-Catalan formula
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .hypercatalan import _hyper_catalan_graded, hyper_catalan_series
 from .reports import VerificationReport, compare
@@ -57,21 +57,6 @@ def _geode_coefficients(bound: int) -> dict[tuple[int, ...], int]:
 def _lifted_targets(bound: int) -> tuple[int, ...]:
     """C(k + e_1) for each k in ``_graded_layout(bound)``'s entries."""
     return _hyper_catalan_graded(bound, 1)
-
-
-def solve_factorization(
-    bound: int, targets: Mapping[TypeVector, int], order: Iterable[TypeVector]
-) -> TruncatedSeries:
-    """Run the recurrence with explicit targets C(k + e_1) and processing order.
-
-    Any order that never visits a vector before all vectors of strictly
-    smaller edge weight is valid; the solution cannot depend on the choice.
-    Exposed separately so that reorderings and corrupted targets can be
-    exercised directly; an order that breaks the rule raises ``ValueError``.
-    """
-    order = list(order)
-    solved = _solve((m.entries, targets[m]) for m in order)
-    return TruncatedSeries(bound, {m: solved[m.entries] for m in order})
 
 
 def _solve(pairs: Iterable[tuple[tuple[int, ...], int]]) -> dict[tuple[int, ...], int]:
@@ -135,15 +120,22 @@ def verify_grade_sums(bound: int) -> VerificationReport:
     catalan = [1]
     for n in range(1, bound + 2):
         catalan.append(sum(catalan[i] * catalan[n - 1 - i] for i in range(n)))
-    differences = [1] + [catalan[w + 1] - catalan[w] for w in range(1, bound + 1)]
-    groups = []
-    for label, series, wanted in (
-        ("S grade sums vs Catalan numbers", s, catalan),
-        ("G grade sums vs Catalan differences", g, differences),
-    ):
-        sums = [sum(series._grades.get(w, {}).values()) for w in range(bound + 1)]
-        groups.append(compare(label, zip([f"weight {w}" for w in range(bound + 1)], wanted, sums)))
-    return VerificationReport("grade-sums", bound, tuple(groups))
+
+    def rows(series: TruncatedSeries, wanted: Callable[[int], int]) -> list[tuple]:
+        # one row per grade, each value computed or indexed at w: a short table raises
+        return [
+            (f"weight {w}", wanted(w), sum(series._grades.get(w, {}).values()))
+            for w in range(bound + 1)
+        ]
+
+    groups = (
+        compare("S grade sums vs Catalan numbers", rows(s, catalan.__getitem__)),
+        compare(
+            "G grade sums vs Catalan differences",
+            rows(g, lambda w: catalan[w + 1] - catalan[w] if w else 1),
+        ),
+    )
+    return VerificationReport("grade-sums", bound, groups)
 
 
 def verify_marked_trees(bound: int) -> VerificationReport:

@@ -115,12 +115,6 @@ class TypeVector(_Value):
     def __repr__(self) -> str:
         return f"TypeVector({self.text!r})"
 
-    def multiplicity(self, n: int) -> int:
-        """m_n, the exponent of t_n (1-based; zero beyond the stored length)."""
-        if n < 1:
-            raise ValueError(f"variable index must be >= 1, got {n}")
-        return self.entries[n - 1] if n <= len(self.entries) else 0
-
     def __bool__(self) -> bool:
         return bool(self.entries)
 
@@ -162,21 +156,13 @@ def _trimmed(entries: tuple[int, ...]) -> tuple[int, ...]:
     return entries[:end]
 
 
-def grading_key(m: TypeVector) -> tuple[int, tuple[int, ...]]:
-    """Sort key for the graded order used everywhere in this package.
-
-    Vectors sort by edge weight; within one grade the tie-break is descending
-    lexicographic on the entries, so t_1^2 precedes t_2 and t_1 t_2 precedes
-    t_3.
-    """
-    _require_type(m)
-    return (m.edge_weight, tuple(-e for e in m.entries))
-
-
 def enumerate_types(bound: int) -> list[TypeVector]:
     """All vectors with edge weight <= bound, each once, in graded order.
 
-    The grade of weight w is in bijection with the integer partitions of w
+    The graded order, used everywhere in this package, sorts by edge weight;
+    within one grade the tie-break is descending lexicographic on the entries,
+    so t_1^2 precedes t_2 and t_1 t_2 precedes t_3.  The grade of weight w is
+    in bijection with the integer partitions of w
     (m_n = multiplicity of the part n), so the list grows by p(w) entries per
     grade; ``_graded_layout`` lists them in this order, built on ``_graded_tails``.
     """
@@ -295,7 +281,7 @@ class TruncatedSeries(_Value):
 
     def items(self) -> list[tuple[TypeVector, int]]:
         """Nonzero (monomial, coefficient) pairs in graded order."""
-        # trimmed tuples of one weight are never prefixes: reverse order is grading_key's
+        # trimmed tuples of one weight are never prefixes: reverse order is the graded order
         return [
             (TypeVector(e), c)
             for w in sorted(self._grades)
@@ -356,16 +342,6 @@ class TruncatedSeries(_Value):
         """The same coefficients under another bound; monomials above it are dropped."""
         return TruncatedSeries._from_grades(bound, self._grades)
 
-    def power(self, exponent: int) -> TruncatedSeries:
-        if type(exponent) is not int:
-            raise TypeError(f"exponent must be an int, got {exponent!r}")
-        if exponent < 1:
-            raise ValueError(f"exponent must be a positive integer, got {exponent}")
-        result = self
-        for _ in range(exponent - 1):
-            result = result * self
-        return result
-
     def __str__(self) -> str:
         return " + ".join(_format_term(m, c) for m, c in self.items()) or "0"
 
@@ -376,13 +352,6 @@ class TruncatedSeries(_Value):
 def sum_of_variables(bound: int) -> TruncatedSeries:
     """t_1 + t_2 + ... + t_bound, the cofactor of the Geode in S - 1."""
     return TruncatedSeries(bound, {TypeVector.unit(n): 1 for n in range(1, bound + 1)})
-
-
-def mismatches_between(
-    a: TruncatedSeries, b: TruncatedSeries
-) -> list[tuple[TypeVector, int, int]]:
-    """Where the series disagree, as (monomial, a-value, b-value), in graded order."""
-    return [(TypeVector(e), x, y) for e, x, y in _coefficient_rows(a, b) if x != y]
 
 
 def _coefficient_rows(a: TruncatedSeries, b: TruncatedSeries) -> Iterator[tuple]:

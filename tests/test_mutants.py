@@ -102,3 +102,14 @@ def test_verify_fails_on_each_mutant(capsys, monkeypatch, mutant):
     out = capsys.readouterr().out
     assert code == 1
     assert {line.split(" (")[0] for line in out.splitlines() if line.endswith(": FAIL")} == failing
+
+
+def test_a_short_catalan_table_cannot_pass(capsys, monkeypatch):
+    # one Catalan number short, G's top grade has no C_(B+1) to read: each row reads its
+    # grade's values by index, so no grade is dropped and the check cannot exit 0
+    real = factorization.verify_grade_sums
+    short = _edited(real, "range(1, bound + 2)", "range(1, bound + 1)")
+    monkeypatch.setattr(factorization, "verify_grade_sums", short)
+    code = cli.main(["verify", "--checks", "grade-sums", "--max-weight", "7"])
+    capsys.readouterr()
+    assert code != 0

@@ -17,7 +17,6 @@ from geode import (
     Subdigon,
     TRIVIAL,
     TypeVector,
-    clawed_nodes,
     compose_subdigon,
     count_initial_external_edges,
     count_initial_leaves,
@@ -29,18 +28,20 @@ from geode import (
     enumerate_subdigons,
     enumerate_trees,
     enumerate_types,
-    external_edges_ccw,
-    external_faces,
     hyper_catalan,
-    post_order,
-    root_decompose,
     subdigon_to_tree,
-    subdigon_type,
     tree_to_subdigon,
-    tree_type,
     verify_bijections,
 )
-from oracles import node_paths
+from oracles import (
+    clawed_nodes,
+    external_edges_ccw,
+    external_faces,
+    nested_tuple,
+    node_paths,
+    post_order,
+    word_type,
+)
 
 V = TypeVector
 
@@ -75,7 +76,7 @@ def test_parse_serialize():
 
 def test_deep_chain_parses_without_recursion():
     chain = Subdigon.parse("(" * 3000 + ")" * 3000)
-    assert subdigon_type(chain) == V((2999,))
+    assert word_type(chain.boundary) == (2999,)
 
     # a 3000-deep chain of bigons
     text = "(" * 3000 + "()" + ")" * 3000
@@ -87,11 +88,11 @@ def test_deep_chain_parses_without_recursion():
     assert tree_to_subdigon(tree).serialize() == text
     assert tree_to_subdigon(tree) == deep
     # the one boundary edge comes first, and the innermost bigon completes on it
-    assert external_edges_ccw(deep) == [0]
-    assert external_faces(deep) == [1] and deep.boundary[:2] == (0, 1)
+    assert external_edges_ccw(deep.boundary) == [0]
+    assert external_faces(deep.boundary) == [1] and deep.boundary[:2] == (0, 1)
     _, postorder_paths = node_paths(text)
-    assert [postorder_paths[i] for i in external_edges_ccw(deep)] == [(0,) * 3000]
-    assert [postorder_paths[i] for i in external_faces(deep)] == [(0,) * 2999]
+    assert [postorder_paths[i] for i in external_edges_ccw(deep.boundary)] == [(0,) * 3000]
+    assert [postorder_paths[i] for i in external_faces(deep.boundary)] == [(0,) * 2999]
     assert count_initial_external_edges(deep) == 1
     n, marked = decompose_subdigon(deep)
     assert (n, marked.mark) == (1, 0)
@@ -113,9 +114,9 @@ def test_deep_chains_compare_and_hash():
 
 
 def test_type_examples():
-    assert subdigon_type(TRIVIAL) == V.zero()
-    assert subdigon_type(TRIANGLE) == V((0, 1))
-    assert subdigon_type(Subdigon.parse(SECT2_SUBDIGON)) == V((2, 3, 2, 1))
+    assert word_type(TRIVIAL.boundary) == ()
+    assert word_type(TRIANGLE.boundary) == (0, 1)
+    assert word_type(Subdigon.parse(SECT2_SUBDIGON).boundary) == (2, 3, 2, 1)
 
 
 def test_structure_map_examples():
@@ -135,7 +136,7 @@ def test_structure_map_is_a_type_preserving_bijection():
             t.serialize() for t in trees
         )
         for s, t in zip(subs, images):
-            assert tree_type(t) == m
+            assert word_type(t.word) == m.entries
             assert tree_to_subdigon(t) == s
 
 
@@ -143,7 +144,7 @@ def test_tree_and_subdigon_types_agree_under_the_structure_map():
     trees = [t for m in enumerate_types(8) for t in enumerate_trees(m)]
     assert trees[0] == LEAF and tree_to_subdigon(LEAF) == TRIVIAL
     for t in trees:
-        assert tree_type(t) == subdigon_type(tree_to_subdigon(t))
+        assert word_type(t.word) == word_type(tree_to_subdigon(t).boundary)
 
 
 def test_enumeration_order_is_pinned():
@@ -163,7 +164,7 @@ def test_enumeration_order_is_pinned():
 @given(random_subdigons)
 def test_roundtrip_random(sub):
     assert tree_to_subdigon(subdigon_to_tree(sub)) == sub
-    assert subdigon_type(sub) == tree_type(subdigon_to_tree(sub))
+    assert word_type(sub.boundary) == word_type(subdigon_to_tree(sub).word)
 
 
 def _slot_path(sub, position):
@@ -173,30 +174,31 @@ def _slot_path(sub, position):
 
 
 def test_external_faces_examples():
-    assert external_faces(TRIVIAL) == []
-    assert external_faces(TRIANGLE) == [2]
+    assert external_faces(TRIVIAL.boundary) == []
+    assert external_faces(TRIANGLE.boundary) == [2]
     assert _slot_path(TRIANGLE, 2) == ()  # the central face
     sect2 = Subdigon.parse(SECT2_SUBDIGON)
-    faces = external_faces(sect2)
+    faces = external_faces(sect2.boundary)
     assert len(faces) == 3
     assert [_slot_path(sect2, i) for i in faces] == [(0, 1, 0), (3, 0, 0), (3, 1)]
 
 
 def test_external_edges_examples():
-    assert external_edges_ccw(TRIVIAL) == [0]
-    assert external_edges_ccw(TRIANGLE) == [0, 1]
-    assert [_slot_path(TRIANGLE, i) for i in external_edges_ccw(TRIANGLE)] == [(0,), (1,)]
+    assert external_edges_ccw(TRIVIAL.boundary) == [0]
+    edges = external_edges_ccw(TRIANGLE.boundary)
+    assert edges == [0, 1]
+    assert [_slot_path(TRIANGLE, i) for i in edges] == [(0,), (1,)]
 
 
 def test_walk_agrees_with_post_order_under_the_structure_map():
     # a boundary-word position is the post-order rank of the tree image's node
     for m in enumerate_types(6):
         for sub in enumerate_subdigons(m):
-            tree = subdigon_to_tree(sub)
-            order = post_order(tree)
+            word = subdigon_to_tree(sub).word
+            order = post_order(word)
             rank = {node: r for r, node in enumerate(order)}
-            assert external_edges_ccw(sub) == [rank[i] for i in order if not tree.word[i]]
-            assert external_faces(sub) == [rank[i] for i in clawed_nodes(tree)]
+            assert external_edges_ccw(sub.boundary) == [rank[i] for i in order if not word[i]]
+            assert external_faces(sub.boundary) == [rank[i] for i in clawed_nodes(word)]
 
 
 def test_markable_edge_counts():
@@ -281,10 +283,10 @@ def test_decompose_compose_roundtrip_exhaustive():
             continue
         for sub in enumerate_subdigons(m):
             n, marked = decompose_subdigon(sub)
-            assert subdigon_type(marked.subdigon) == m - V.unit(n)
+            assert word_type(marked.subdigon.boundary) == (m - V.unit(n)).entries
             assert compose_subdigon(n, marked) == sub
-        for n in range(1, len(m.entries) + 1):
-            if not m.multiplicity(n):
+        for n, m_n in enumerate(m.entries, 1):
+            if not m_n:
                 continue
             for marked in enumerate_marked_subdigons(m - V.unit(n)):
                 assert decompose_subdigon(compose_subdigon(n, marked)) == (n, marked)
@@ -333,24 +335,32 @@ def test_deep_chains_decompose_and_compose_without_recursion():
 
 
 def _glued(sub, path, face):
-    """sub with the boundary edge at a slot path replaced by face, rebuilt slot by slot."""
-    outer = [sub]  # the faces down the path, each holding the next
-    for i in path[:-1]:
-        outer.append(outer[-1].slots[i])
-    for holder, i in zip(reversed(outer), reversed(path)):
-        slots = list(holder.slots)
-        slots[i] = face
-        face = Subdigon(tuple(slots))
-    return face  # the empty path is the trivial subdigon's lone edge
+    """The text of sub with the boundary edge at a slot path replaced by the text face."""
+    text = "()" if sub.is_trivial else sub.serialize()  # the trivial subdigon's lone edge
+    preorder_paths, _ = node_paths(text)
+    start = -1
+    for _ in range(preorder_paths.index(path) + 1):  # step to that node's "("
+        start = text.index("(", start + 1)
+    return text[:start] + face + text[start + 2 :]
 
 
 def test_compose_glues_onto_the_edge_the_boundary_walk_lists():
     for m in enumerate_types(5):
         for marked in enumerate_marked_subdigons(m):
-            edge = external_edges_ccw(marked.subdigon)[marked.mark]
+            edge = external_edges_ccw(marked.subdigon.boundary)[marked.mark]
             path = _slot_path(marked.subdigon, edge)
-            expected = _glued(marked.subdigon, path, Subdigon((None, None)))
+            expected = Subdigon.parse(_glued(marked.subdigon, path, "(()())"))
             assert compose_subdigon(2, marked) == expected
+
+
+def _nested(sub):
+    """The oracle's nested tuples of a subdigon's text: a slot is () or a glued face."""
+    return () if sub.is_trivial else nested_tuple(sub.serialize())
+
+
+def _from_slots(face):
+    """The subdigon built slot by slot through the public constructor."""
+    return Subdigon(tuple(_from_slots(slot) if slot else None for slot in face))
 
 
 def test_boundary_words_are_pinned():
@@ -362,7 +372,7 @@ def test_boundary_words_are_pinned():
     )
     for m in enumerate_types(7):
         for sub in enumerate_subdigons(m):
-            assert Subdigon(sub.slots) == sub
+            assert _from_slots(_nested(sub)) == sub
 
 
 @pytest.mark.parametrize("cached", [False, True])
@@ -393,23 +403,18 @@ def test_hostile_depth_stays_linear():
         tree = subdigon_to_tree(sub)
         assert tree.word == OrderedTree.parse(text).word
         assert tree_to_subdigon(tree) == sub
-        slots = sub.slots
-        assert Subdigon(slots) == sub
-        assert sum(subdigon_type(sub).entries) == k
+        assert sum(word_type(sub.boundary)) == k
         marks = count_initial_external_edges(sub)
         n, marked = decompose_subdigon(sub)
         assert marked.mark < marks
         assert compose_subdigon(n, marked) == sub
-        # the walks, in positions, at full depth
-        order = post_order(tree)
+        # the words against the oracle walks, at full depth
+        order = post_order(tree.word)
         assert [tree.word[i] for i in order] == list(sub.boundary)
-        assert len(clawed_nodes(tree)) == len(external_faces(sub)) == 1
-        assert clawed_nodes(tree) == [trees_module._first_claw(tree.word)]
-        assert external_faces(sub) == [marked.mark + n]
-        assert external_edges_ccw(sub) == [r for r, i in enumerate(order) if not tree.word[i]]
-        children = tree.children
-        assert root_decompose(tree) == list(children)
-        assert OrderedTree(children) == tree
+        assert clawed_nodes(tree.word) == [trees_module._first_claw(tree.word)]
+        assert external_faces(sub.boundary) == [marked.mark + n]
+        edges = external_edges_ccw(sub.boundary)
+        assert edges == [r for r, i in enumerate(order) if not tree.word[i]]
     assert time.process_time() - start < 5
 
 
@@ -427,9 +432,8 @@ def test_verify_bijections_detects_a_corrupted_structure_map(monkeypatch):
     real = subdigons_module.tree_to_subdigon
     target = OrderedTree.parse("((())())")  # the root's two subtrees differ
 
-    def corrupted(tree):
-        sub = real(tree)
-        return Subdigon(sub.slots[::-1]) if tree == target else sub
+    def corrupted(tree):  # the root's subtrees swapped
+        return Subdigon.parse("(()(()))") if tree == target else real(tree)
 
     monkeypatch.setattr(subdigons_module, "tree_to_subdigon", corrupted)
     assert _failing_groups(verify_bijections(4)) == {
@@ -519,9 +523,8 @@ def test_verify_bijections_detects_a_corrupted_attachment(monkeypatch):
     real = subdigons_module.compose_subdigon
     target = (2, MarkedSubdigon(TRIANGLE, 1))
 
-    def corrupted(n, marked):
-        sub = real(n, marked)
-        return Subdigon(sub.slots[::-1]) if (n, marked) == target else sub
+    def corrupted(n, marked):  # "(()(()()))" with its central face's slots swapped
+        return Subdigon.parse("((()())())") if (n, marked) == target else real(n, marked)
 
     monkeypatch.setattr(subdigons_module, "compose_subdigon", corrupted)
     assert _failing_groups(verify_bijections(4)) == {"deletion/attachment round trips"}

@@ -1,4 +1,4 @@
-import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -10,7 +10,6 @@ from geode import (
     MarkedTree,
     OrderedTree,
     TypeVector,
-    clawed_nodes,
     compose_tree,
     count_initial_leaves,
     count_marked_trees,
@@ -18,12 +17,17 @@ from geode import (
     enumerate_marked_trees,
     enumerate_trees,
     enumerate_types,
-    post_order,
-    root_decompose,
     tree_to_subdigon,
-    tree_type,
 )
-from oracles import all_tree_brackets, bracket_initial_leaves, bracket_type, node_paths
+from oracles import (
+    all_tree_brackets,
+    bracket_initial_leaves,
+    bracket_type,
+    clawed_nodes,
+    node_paths,
+    post_order,
+    word_type,
+)
 
 V = TypeVector
 
@@ -50,7 +54,7 @@ def test_parse_serialize_examples():
 def test_deep_chain_parses_without_recursion():
     text = "(" * 3000 + ")" * 3000
     chain = OrderedTree.parse(text)
-    assert tree_type(chain) == V((2999,))
+    assert word_type(chain.word) == (2999,)
     assert chain.serialize() == text
 
     marked_text = "(" * 3000 + "*" + ")" * 3000
@@ -81,9 +85,9 @@ def test_parse_serialize_roundtrip(tree):
 
 
 def test_tree_type_examples():
-    assert tree_type(LEAF) == V.zero()
-    assert tree_type(OrderedTree.parse("(()())")) == V((0, 1))
-    assert tree_type(OrderedTree.parse(SECT2_TREE)) == V((2, 3, 2, 1))
+    assert word_type(LEAF.word) == ()
+    assert word_type(OrderedTree.parse("(()())").word) == (0, 1)
+    assert word_type(OrderedTree.parse(SECT2_TREE).word) == (2, 3, 2, 1)
 
 
 def test_enumerate_trees_small_types():
@@ -117,14 +121,14 @@ def test_enumeration_is_in_ascending_word_order():
 
 
 def test_post_order_examples():
-    assert post_order(LEAF) == [0]
+    assert post_order(LEAF.word) == [0]
 
     tree = OrderedTree.parse("(()())")
-    assert [not tree.word[i] for i in post_order(tree)] == [True, True, False]
+    assert [not tree.word[i] for i in post_order(tree.word)] == [True, True, False]
 
     # left comb: the inner pair is finished before its sibling leaf
     text = "((()())())"
-    order = post_order(OrderedTree.parse(text))
+    order = post_order(OrderedTree.parse(text).word)
     assert order == [2, 3, 1, 4, 0]
     preorder_paths, _ = node_paths(text)
     assert [preorder_paths[i] for i in order] == [(0, 0), (0, 1), (0,), (1,), ()]
@@ -132,9 +136,9 @@ def test_post_order_examples():
 
 @given(random_trees)
 def test_post_order_properties(tree):
-    order = post_order(tree)
     word = tree.word
-    assert sorted(order) == list(range(tree_type(tree).node_count))  # a permutation
+    order = post_order(word)
+    assert sorted(order) == list(range(V(word_type(word)).node_count))  # a permutation
     preorder_paths, postorder_paths = node_paths(tree.serialize())
     paths = [preorder_paths[i] for i in order]
     rank = {path: r for r, path in enumerate(paths)}
@@ -149,11 +153,10 @@ def test_post_order_properties(tree):
 
 
 def test_clawed_node_examples():
-    assert clawed_nodes(LEAF) == []
-    assert clawed_nodes(OrderedTree.parse("(()())")) == [0]
-    assert clawed_nodes(OrderedTree.parse("(()(()()))")) == [2]
-    sect2 = OrderedTree.parse(SECT2_TREE)
-    claws = clawed_nodes(sect2)
+    assert clawed_nodes(LEAF.word) == []
+    assert clawed_nodes(OrderedTree.parse("(()())").word) == [0]
+    assert clawed_nodes(OrderedTree.parse("(()(()()))").word) == [2]
+    claws = clawed_nodes(OrderedTree.parse(SECT2_TREE).word)
     assert len(claws) == 3
     preorder_paths, _ = node_paths(SECT2_TREE)
     assert [preorder_paths[i] for i in claws] == [(0, 1, 0), (3, 0, 0), (3, 1)]
@@ -164,16 +167,16 @@ def test_first_internal_node_in_post_order_is_clawed():
         if not m:
             continue
         for tree in enumerate_trees(m):
-            first_internal = next(i for i in post_order(tree) if tree.word[i])
-            assert first_internal == clawed_nodes(tree)[0]
+            first_internal = next(i for i in post_order(tree.word) if tree.word[i])
+            assert first_internal == clawed_nodes(tree.word)[0]
 
 
 def _assert_walks_read_the_subdigon_image(tree):
     # the stack pass shares no code with the structure map, nor the claw scan
     # with _first_claw, so each checks the other by a second route
     word = tree.word
-    assert [word[i] for i in post_order(tree)] == list(tree_to_subdigon(tree).boundary)
-    assert clawed_nodes(tree)[:1] == ([trees_module._first_claw(word)] if word[0] else [])
+    assert [word[i] for i in post_order(word)] == list(tree_to_subdigon(tree).boundary)
+    assert clawed_nodes(word)[:1] == ([trees_module._first_claw(word)] if word[0] else [])
 
 
 def test_walks_read_the_subdigon_image_exhaustively():
@@ -284,78 +287,44 @@ def test_decompose_compose_roundtrip_exhaustive():
             continue
         for tree in enumerate_trees(m):
             n, marked = decompose_tree(tree)
-            assert tree_type(marked.tree) == m - V.unit(n)
+            assert word_type(marked.tree.word) == (m - V.unit(n)).entries
             assert compose_tree(n, marked) == tree
-        for n in range(1, len(m.entries) + 1):
-            if not m.multiplicity(n):
+        for n, m_n in enumerate(m.entries, 1):
+            if not m_n:
                 continue
             for marked in enumerate_marked_trees(m - V.unit(n)):
                 assert decompose_tree(compose_tree(n, marked)) == (n, marked)
 
 
-@given(random_trees.filter(lambda t: not t.is_leaf))
+@given(random_trees.filter(lambda t: t != LEAF))
 def test_decompose_compose_roundtrip_random(tree):
     n, marked = decompose_tree(tree)
     assert compose_tree(n, marked) == tree
 
 
-def test_root_decompose_examples():
-    assert [t.serialize() for t in root_decompose(OrderedTree.parse("(()())"))] == [
-        "()",
-        "()",
-    ]
-    assert [t.serialize() for t in root_decompose(OrderedTree.parse("((())())"))] == [
-        "(())",
-        "()",
-    ]
-    with pytest.raises(ValueError):
-        root_decompose(LEAF)
-
-
-def test_root_decompose_of_a_deep_chain_is_linear():
-    # children reads the root's spans only, not every subtree of the chain
-    chain = OrderedTree.parse("(" * 5000 + "()" + ")" * 5000)
-    tracemalloc.start()
-    try:
-        parts = root_decompose(chain)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert parts == [OrderedTree.parse("(" * 4999 + "()" + ")" * 4999)]
-    assert peak < 10_000_000
-
-
-def test_root_decompose_type_bookkeeping():
-    for m in enumerate_types(6):
-        if not m:
+def _splits(k, n):
+    """Every ordered n-tuple of types summing to k."""
+    if n == 1:
+        return [(k,)]
+    splits = []
+    for head in enumerate_types(k.edge_weight):
+        try:
+            rest = k - head
+        except ValueError:  # the head exceeds k at some entry
             continue
-        for tree in enumerate_trees(m):
-            parts = root_decompose(tree)
-            total = V.unit(len(parts))
-            for part in parts:
-                total = total + tree_type(part)
-            assert total == m
-            assert OrderedTree(tuple(parts)) == tree
+        splits += [(head, *tail) for tail in _splits(rest, n - 1)]
+    return splits
 
 
-def test_root_decompose_realizes_functional_equation():
-    # grouping trees by root degree and child types reproduces the coefficient
-    # identity behind S = 1 + sum_n t_n S^n
-    for m in enumerate_types(6):
-        if not m:
-            continue
-        signatures = [
-            tuple(part.serialize() for part in root_decompose(tree))
-            for tree in enumerate_trees(m)
+def test_root_subtrees_build_every_tree_of_a_type_once():
+    # the bijection behind S = 1 + sum_n t_n S^n: a tree of type m is a root
+    # with n children over an ordered n-tuple of trees whose types sum to m - e_n
+    for m in enumerate_types(6)[1:]:
+        built = [
+            OrderedTree(parts)
+            for n, m_n in enumerate(m.entries, 1)
+            if m_n
+            for split in _splits(m - V.unit(n), n)
+            for parts in product(*map(enumerate_trees, split))
         ]
-        assert len(set(signatures)) == len(signatures)
-        total = 0
-        seen_compositions = {
-            tuple(tree_type(OrderedTree.parse(s)) for s in sig) for sig in signatures
-        }
-        for composition in seen_compositions:
-            product = 1
-            for part_type in composition:
-                product *= len(enumerate_trees(part_type))
-            total += product
-        assert total == len(enumerate_trees(m))
+        assert sorted(t.word for t in built) == [t.word for t in enumerate_trees(m)]

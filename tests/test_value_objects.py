@@ -22,9 +22,7 @@ from geode import (
     decompose_tree,
     hyper_catalan_series,
     subdigon_to_tree,
-    subdigon_type,
     tree_to_subdigon,
-    tree_type,
 )
 from geode.series import _Value
 
@@ -101,7 +99,7 @@ def test_equal_values_are_equal_and_hash_equal(name):
 @pytest.mark.parametrize("name", VALUES)
 def test_values_are_immutable(name):
     value = VALUES[name][0]()
-    for field in ("entries", "word", "tree", "mark", "slots", "subdigon", "label", "x"):
+    for field in ("entries", "word", "tree", "mark", "boundary", "subdigon", "label", "x"):
         with pytest.raises(AttributeError):
             setattr(value, field, 0)
     assert value == VALUES[name][0]()
@@ -163,7 +161,7 @@ def test_equality_stays_within_the_class(name):
 
 def test_defaults():
     assert TypeVector() == TypeVector.zero() and TypeVector().entries == ()
-    assert Subdigon() == TRIVIAL and Subdigon().slots == ()
+    assert Subdigon() == TRIVIAL and Subdigon().boundary == (0,)
     assert OrderedTree().word == (0,)
     assert CheckGroup("x", 0).mismatches == ()
 
@@ -243,8 +241,6 @@ def test_a_mark_that_is_not_an_int_is_a_type_error(cls, parse, mark):
         pytest.param(
             lambda: subdigon_to_tree(OrderedTree()), "must be a Subdigon", id="subdigon-to-tree-tree"
         ),
-        pytest.param(lambda: tree_type("x"), "must be an OrderedTree", id="tree-type-str"),
-        pytest.param(lambda: subdigon_type("x"), "must be a Subdigon", id="subdigon-type-str"),
     ],
 )
 def test_a_child_that_is_not_a_value_is_a_type_error(build, expected):
