@@ -24,6 +24,7 @@ from oracles import (
     bracket_initial_leaves,
     bracket_type,
     clawed_nodes,
+    nested_tuple,
     node_paths,
     post_order,
     word_type,
@@ -316,7 +317,25 @@ def _splits(k, n):
     return splits
 
 
-def test_root_subtrees_build_every_tree_of_a_type_once():
+def _tree_of(nested):
+    """Build a tree from the nested-tuple oracle with the children constructor."""
+    return OrderedTree(tuple(map(_tree_of, nested)))
+
+
+def test_root_decompose_type_bookkeeping():
+    # a tree of type m splits at its root into n subtrees whose types sum to
+    # m - e_n, and the children constructor puts them back together
+    for m in enumerate_types(6)[1:]:
+        for tree in enumerate_trees(m):
+            parts = [_tree_of(child) for child in nested_tuple(tree.serialize())]
+            total = V.unit(len(parts))
+            for part in parts:
+                total = total + V(word_type(part.word))
+            assert total == m
+            assert OrderedTree(tuple(parts)) == tree
+
+
+def test_root_decompose_realizes_functional_equation():
     # the bijection behind S = 1 + sum_n t_n S^n: a tree of type m is a root
     # with n children over an ordered n-tuple of trees whose types sum to m - e_n
     for m in enumerate_types(6)[1:]:
