@@ -22,10 +22,10 @@ _EXPORTS = {
     "reports": "CheckGroup Mismatch VerificationReport",
     "series": "TruncatedSeries TypeVector enumerate_types sum_of_variables",
     "subdigons": "TRIVIAL MarkedSubdigon Subdigon compose_subdigon count_initial_external_edges "
-    "count_marked_subdigons decompose_subdigon enumerate_marked_subdigons enumerate_subdigons "
-    "subdigon_to_tree tree_to_subdigon verify_bijections",
+    "count_marked_subdigons decompose_subdigon enumerate_subdigons subdigon_to_tree "
+    "tree_to_subdigon verify_bijections",
     "trees": "LEAF MarkedTree OrderedTree compose_tree count_initial_leaves count_marked_trees "
-    "decompose_tree enumerate_marked_trees enumerate_trees",
+    "decompose_tree enumerate_trees",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = {*_EXPORTS, "cli"}

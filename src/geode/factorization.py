@@ -114,7 +114,9 @@ def verify_factorization(bound: int) -> VerificationReport:
 def verify_grade_sums(bound: int) -> VerificationReport:
     """Check each grade sum of S against C_w and of G against C_(w+1) - C_w.
 
-    A mismatch is keyed by its grade, e.g. "weight 3", not by a monomial.
+    A mismatch is keyed by its grade, e.g. "weight 3", not by a monomial,
+    and a group that compares fewer grades than its series holds fails on a
+    "grades compared" row.
     """
     s, g = hyper_catalan_series(bound), geode_series(bound)  # first, as they check the bound
     catalan = [1]
@@ -123,10 +125,13 @@ def verify_grade_sums(bound: int) -> VerificationReport:
 
     def rows(series: TruncatedSeries, wanted: Callable[[int], int]) -> list[tuple]:
         # one row per grade, each value computed or indexed at w: a short table raises
-        return [
+        out = [
             (f"weight {w}", wanted(w), sum(series._grades.get(w, {}).values()))
             for w in range(bound + 1)
         ]
+        if len(out) != series.bound + 1:  # fewer grades is a mismatch, not a smaller PASS
+            out.append(("grades compared", series.bound + 1, len(out)))
+        return out
 
     groups = (
         compare("S grade sums vs Catalan numbers", rows(s, catalan.__getitem__)),

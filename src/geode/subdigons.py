@@ -40,7 +40,7 @@ therefore serialize identically except for the trivial case.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, compress, count, product
+from itertools import compress, count, product
 from operator import attrgetter, sub as subtract
 
 from .hypercatalan import hyper_catalan
@@ -54,8 +54,8 @@ from .trees import (
     _parse_brackets,
     _tree,
     compose_tree,
+    count_initial_leaves,
     decompose_tree,
-    enumerate_marked_trees,
     enumerate_trees,
 )
 
@@ -169,10 +169,13 @@ _set_subdigon = MarkedSubdigon.subdigon.__set__
 _set_mark = MarkedSubdigon.mark.__set__
 
 
-def _marked_subdigon(subdigon: Subdigon, mark: int) -> MarkedSubdigon:
-    """Trusted constructor: the mark is known to lie within the first external face."""
+def _marked_subdigon(word: Word, mark: int) -> MarkedSubdigon:
+    """Trusted constructor: the subdigon of a valid boundary word, marked at an
+    edge known to lie within its first external face."""
+    sub = _new(Subdigon)
+    _set_boundary(sub, word)
     marked = _new(MarkedSubdigon)
-    _set_subdigon(marked, subdigon)
+    _set_subdigon(marked, sub)
     _set_mark(marked, mark)
     return marked
 
@@ -239,9 +242,12 @@ def count_initial_external_edges(sub: Subdigon) -> int:
 def enumerate_subdigons(m: TypeVector) -> list[Subdigon]:
     """Every subdigon of type m, exactly once, in a fixed order.
 
-    Generated by choosing the central face size n + 1 (ascending n) and then
-    distributing the remaining faces behind its n non-roof edges over all
-    ordered type compositions.  Independent of the tree enumerator.
+    The central face size n + 1 ascends.  For each n, the remaining faces are
+    split over the n non-roof edges (the slots) in every ordered way,
+    lexicographically slot by slot, each slot's share ascending entry by
+    entry; for each split, the slots' subdigons run through every
+    combination, the first slot's changing slowest.  Independent of the tree
+    enumerator.
     """
     _require_type(m)
     # build the smaller types first, so every nested lookup is a cache hit:
@@ -260,27 +266,34 @@ def _enumerate_subdigons_cached(entries: tuple[int, ...]) -> tuple[Word, ...]:
     for n, faces in enumerate(entries, 1):
         if not faces:
             continue
-        rest = (*entries[: n - 1], faces - 1, *entries[n:])
+        # one group per split of the other faces over the slots filled so
+        # far: the words those slots spell, and the faces the later slots hold
+        groups = [([()], _trimmed((*entries[: n - 1], faces - 1, *entries[n:])))]
+        for _ in range(n - 1):
+            groups = [
+                ([head + word for head in heads for word in words], left)
+                for heads, rest in groups
+                for words, left in _slot_groups(rest)
+            ]
         central = (n,)
-        for parts in _type_compositions(rest, n):
-            slot_words = map(_enumerate_subdigons_cached, parts)
-            out += [tuple(chain(*slots, central)) for slots in product(*slot_words)]
+        for heads, rest in groups:  # the last slot holds all that is left
+            words = _enumerate_subdigons_cached(rest)
+            out += [head + word + central for head in heads for word in words]
     return tuple(out)
 
 
-def _type_compositions(total: tuple[int, ...], n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All ordered n-tuples of entry tuples summing to ``total``, each trimmed.
+@lru_cache(maxsize=None)
+def _slot_groups(total: tuple[int, ...]) -> tuple[tuple[tuple[Word, ...], tuple[int, ...]], ...]:
+    """Each way one slot can take part of ``total``: its words, and what is left.
 
-    Lexicographic in the order of ``_subvectors``, position by position.
+    Shared by every type whose later slots hold ``total``, in the order of
+    ``_subvectors``; every share is lighter than the type being built, so
+    its words are already cached.
     """
-    heads: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = [((), total)]
-    for _ in range(n - 1):
-        heads = [
-            (prefix + (_trimmed(head),), tuple(map(subtract, rest, head)))
-            for prefix, rest in heads
-            for head in _subvectors(rest)
-        ]
-    return [prefix + (_trimmed(rest),) for prefix, rest in heads]
+    return tuple(
+        (_enumerate_subdigons_cached(_trimmed(head)), _trimmed(tuple(map(subtract, total, head))))
+        for head in _subvectors(total)
+    )
 
 
 def _subvectors(entries: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -294,17 +307,7 @@ def count_marked_subdigons(m: TypeVector) -> int:
     Exhaustive, so only feasible at modest edge weight.  Equals the Geode
     coefficient of t^m, mirroring the marked-tree count.
     """
-    return sum(
-        count_initial_external_edges(sub) for sub in enumerate_subdigons(m)
-    )
-
-
-def enumerate_marked_subdigons(m: TypeVector) -> list[MarkedSubdigon]:
-    return [
-        _marked_subdigon(sub, mark)
-        for sub in enumerate_subdigons(m)
-        for mark in range(count_initial_external_edges(sub))
-    ]
+    return sum(map(count_initial_external_edges, enumerate_subdigons(m)))
 
 
 def decompose_subdigon(sub: Subdigon) -> tuple[int, MarkedSubdigon]:
@@ -322,7 +325,7 @@ def decompose_subdigon(sub: Subdigon) -> tuple[int, MarkedSubdigon]:
     i = next(compress(count(), word))  # the first face letter; its n edges precede it
     n = word[i]
     # the face's former roof is met at or before it: a markable edge by construction
-    return n, _marked_subdigon(_subdigon(word[: i - n] + (0,) + word[i + 1 :]), i - n)
+    return n, _marked_subdigon(word[: i - n] + (0,) + word[i + 1 :], i - n)
 
 
 def compose_subdigon(n: int, marked: MarkedSubdigon) -> Subdigon:
@@ -349,9 +352,12 @@ def verify_bijections(bound: int) -> VerificationReport:
     and preserve types; both direct counts agree with the hyper-Catalan
     closed form; face deletion and leaf stripping invert their composers and
     biject onto the marked structures of the reduced types; and deletion
-    commutes with the structure map, including the induced marks.  Mismatch
-    entries record how many objects (expected vs observed) survived each
-    check for the offending monomial.
+    commutes with the structure map, including the induced marks.  A marked
+    structure of a reduced type is an object of that type with a mark below
+    its limit (its initial leaves, or its initial external edges), so
+    coverage reads each lighter type's limits, one per object, and builds no
+    marked structure.  Mismatch entries record how many objects (expected vs
+    observed) survived each check for the offending monomial.
     """
     # one (type, objects expected, objects that passed) row per type and group
     roundtrip, counts, strip, coverage, square = [], [], [], [], []
@@ -361,8 +367,9 @@ def verify_bijections(bound: int) -> VerificationReport:
     # compares table entries: a lookup that misses is a failed comparison.  A
     # type is compared as the sorted letters its words spend.
     tree_of: dict[Word, Word] = {}  # boundary word -> tree word, of every subdigon so far
-    # each reduced type's marked structures as (word, mark), enumerated once
-    marked_words: dict[TypeVector, tuple[list[tuple[Word, int]], ...]] = {}
+    # per type lighter than the bound, each object's limit, the number of
+    # marks it takes, by word: (trees, subdigons)
+    limits: dict[TypeVector, tuple[dict[Word, int], dict[Word, int]]] = {}
 
     for m in enumerate_types(bound):
         entries = m.entries
@@ -378,6 +385,12 @@ def verify_bijections(bound: int) -> VerificationReport:
         mapped = sum(inverse.get(s) == t and sorted(s) == letters for t, s in image.items())
         mapped += sum(image.get(t) == s and sorted(t) == letters for s, t in inverse.items())
         roundtrip.append((entries, size, mapped))
+        if m.edge_weight < bound:  # only a lighter type is a reduced type
+            # a limit below 0 wants no mark, and must not cancel a wanted one
+            limits[m] = (
+                {t.word: max(count_initial_leaves(t), 0) for t in trees},
+                {s.boundary: max(count_initial_external_edges(s), 0) for s in subs},
+            )
         if not entries:  # the one-node tree and the trivial subdigon have nothing to delete
             continue
 
@@ -395,21 +408,19 @@ def verify_bijections(bound: int) -> VerificationReport:
             cut_sub[s.boundary] = (n, marked_sub.subdigon.boundary, marked_sub.mark)
         strip.append((entries, size, restored))
 
-        reduced = {n: m - TypeVector.unit(n) for n, m_n in enumerate(entries, 1) if m_n}
-        for k in reduced.values():
-            if k not in marked_words:
-                marked_words[k] = (
-                    [(x.tree.word, x.mark) for x in enumerate_marked_trees(k)],
-                    [(x.subdigon.boundary, x.mark) for x in enumerate_marked_subdigons(k)],
-                )
+        # n -> the limits of m - e_n
+        reduced = {n: limits[m - TypeVector.unit(n)] for n, m_n in enumerate(entries, 1) if m_n}
         # wanted structures reached less wanted ones missed, per side: this
         # is the side's object count only if its deletions are distinct, all
-        # wanted, and miss nothing wanted
+        # wanted, and miss nothing wanted.  A deletion (n, w, j) is wanted
+        # when 0 <= j < limit of w in m - e_n, and every wanted one is either
+        # reached or missed, so the count is twice the distinct wanted
+        # deletions less the number wanted
         reached = 0
         for side, cut in enumerate((cut_tree, cut_sub)):
-            want = {(n, *pair) for n, k in reduced.items() for pair in marked_words[k][side]}
-            got = set(cut.values())
-            reached += len(got & want) - len(want - got)
+            want = {n: pair[side] for n, pair in reduced.items()}
+            hits = sum(n in want and 0 <= j < want[n].get(w, 0) for n, w, j in set(cut.values()))
+            reached += 2 * hits - sum(sum(limit.values()) for limit in want.values())
         coverage.append((entries, size, reached))
         # a deletion's tree image is read from the lighter type's table
         commuting = sum(

@@ -168,8 +168,11 @@ _set_tree = MarkedTree.tree.__set__
 _set_mark = MarkedTree.mark.__set__
 
 
-def _marked_tree(tree: OrderedTree, mark: int) -> MarkedTree:
-    """Trusted constructor: the mark is known to be an initial leaf of the tree."""
+def _marked_tree(word: Word, mark: int) -> MarkedTree:
+    """Trusted constructor: the tree of a valid preorder degree word, marked at
+    a position known to be an initial leaf."""
+    tree = _new(OrderedTree)
+    _set_word(tree, word)
     marked = _new(MarkedTree)
     _set_tree(marked, tree)
     _set_mark(marked, mark)
@@ -252,15 +255,7 @@ def count_marked_trees(m: TypeVector) -> int:
 
     Exhaustive over degree words, so only feasible at modest edge weight.
     """
-    return sum(_initial_leaves(word) for word in _words(m))
-
-
-def enumerate_marked_trees(m: TypeVector) -> list[MarkedTree]:
-    return [
-        _marked_tree(tree, mark)
-        for tree in enumerate_trees(m)
-        for mark in range(count_initial_leaves(tree))
-    ]
+    return sum(map(_initial_leaves, _words(m)))
 
 
 def decompose_tree(tree: OrderedTree) -> tuple[int, MarkedTree]:
@@ -278,7 +273,7 @@ def decompose_tree(tree: OrderedTree) -> tuple[int, MarkedTree]:
     if i is None:
         raise ValueError("the single-node tree has no clawed node to strip")
     n = word[i]
-    stripped = _tree(word[:i] + (0,) + word[i + 1 + n :])
+    stripped = word[:i] + (0,) + word[i + 1 + n :]
     return n, _marked_tree(stripped, word[:i].count(0))  # an initial leaf by construction
 
 

@@ -5,11 +5,22 @@ package internals: trees are nested tuples built by a different recursion
 than the library's enumerator, the integer sequences come from their
 classical recurrences, and the walks read the plain words that trees and
 subdigons expose (``tree.word``, ``sub.boundary``) with no argument checks.
+The marked lists are built from the public enumerators, mark counts and
+validating constructors alone.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+from geode import (
+    MarkedSubdigon,
+    MarkedTree,
+    count_initial_external_edges,
+    count_initial_leaves,
+    enumerate_subdigons,
+    enumerate_trees,
+)
 
 
 def catalan_numbers(count: int) -> list[int]:
@@ -169,3 +180,21 @@ def word_type(word: tuple[int, ...]) -> tuple[int, ...]:
     with n + 1 edges.
     """
     return tuple(map(word.count, range(1, max(word) + 1)))
+
+
+def enumerate_marked_trees(m) -> list:
+    """Every tree of type m with each of its initial leaves marked, tree by tree."""
+    return [
+        MarkedTree(tree, mark)
+        for tree in enumerate_trees(m)
+        for mark in range(count_initial_leaves(tree))
+    ]
+
+
+def enumerate_marked_subdigons(m) -> list:
+    """Every subdigon of type m with each of its initial external edges marked."""
+    return [
+        MarkedSubdigon(sub, mark)
+        for sub in enumerate_subdigons(m)
+        for mark in range(count_initial_external_edges(sub))
+    ]

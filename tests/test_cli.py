@@ -16,7 +16,6 @@ from geode import (
     cli,
     count_marked_subdigons,
     count_marked_trees,
-    enumerate_marked_trees,
     enumerate_trees,
     enumerate_types,
     factorization,
@@ -25,6 +24,7 @@ from geode import (
 )
 from geode.cli import main
 from geode.series import _graded_layout
+from oracles import enumerate_marked_trees
 
 
 def run(capsys, *argv):
@@ -454,12 +454,11 @@ PUBLIC_NAMES = [
     "NegativeGeodeCoefficientError", "OrderedTree", "Subdigon", "TRIVIAL", "TruncatedSeries",
     "TypeVector", "VerificationReport", "compose_subdigon", "compose_tree",
     "count_initial_external_edges", "count_initial_leaves", "count_marked_subdigons",
-    "count_marked_trees", "decompose_subdigon", "decompose_tree", "enumerate_marked_subdigons",
-    "enumerate_marked_trees", "enumerate_subdigons", "enumerate_trees", "enumerate_types",
-    "geode_series", "hyper_catalan", "hyper_catalan_series", "subdigon_to_tree",
-    "sum_of_variables", "tree_to_subdigon", "verify_bijections", "verify_factorization",
-    "verify_functional_equation", "verify_grade_sums", "verify_marked_subdigons",
-    "verify_marked_trees",
+    "count_marked_trees", "decompose_subdigon", "decompose_tree", "enumerate_subdigons",
+    "enumerate_trees", "enumerate_types", "geode_series", "hyper_catalan",
+    "hyper_catalan_series", "subdigon_to_tree", "sum_of_variables", "tree_to_subdigon",
+    "verify_bijections", "verify_factorization", "verify_functional_equation",
+    "verify_grade_sums", "verify_marked_subdigons", "verify_marked_trees",
 ]
 
 

@@ -7,8 +7,6 @@ from geode import (
     TypeVector,
     count_marked_subdigons,
     count_marked_trees,
-    enumerate_marked_subdigons,
-    enumerate_marked_trees,
     enumerate_subdigons,
     enumerate_trees,
     enumerate_types,
@@ -24,7 +22,7 @@ from geode import (
 from geode import TruncatedSeries, cli, factorization, hyper_catalan_series
 from geode.factorization import _geode_coefficients, _lifted_targets, _solve
 from geode.series import _graded_layout, _graded_tails
-from oracles import catalan_numbers
+from oracles import catalan_numbers, enumerate_marked_subdigons, enumerate_marked_trees
 
 V = TypeVector
 

@@ -46,7 +46,7 @@ def _next_claw(real):
 def _decompose_marking_edge_0(real):
     def mutant(sub):
         n, marked = real(sub)
-        return n, _marked_subdigon(marked.subdigon, 0)
+        return n, _marked_subdigon(marked.subdigon.boundary, 0)
 
     return mutant
 
@@ -84,6 +84,11 @@ MUTANTS = {
     ),
     "face deletion marks edge 0": (
         subdigons, "decompose_subdigon", _decompose_marking_edge_0, {"bijections"},
+    ),
+    "grade sums compare two grades fewer": (
+        factorization, "verify_grade_sums",
+        lambda real: _edited(real, "range(bound + 1)", "range(bound - 1)"),
+        {"grade-sums"},
     ),
     "series keep only the grades below the bound": (
         TruncatedSeries, "_from_grades",

@@ -18,7 +18,7 @@ from geode import count_marked_subdigons, count_marked_trees, enumerate_types, h
 from geode.factorization import _geode_coefficients
 from geode.hypercatalan import _hyper_catalan_graded
 from geode.series import _graded_layout, _graded_tails
-from geode.subdigons import _enumerate_subdigons_cached
+from geode.subdigons import _enumerate_subdigons_cached, _slot_groups
 
 pytestmark = pytest.mark.skipif(
     sys.version_info < (3, 11), reason="code objects carry co_qualname from Python 3.11"
@@ -71,6 +71,7 @@ SIDES = {
 def reached(side) -> set[str]:
     """The ``module.qualname`` of every geode function that ``side()`` calls, from cold caches."""
     _enumerate_subdigons_cached.cache_clear()
+    _slot_groups.cache_clear()
     _graded_layout.cache_clear()
     _graded_tails.cache_clear()
     names = set()

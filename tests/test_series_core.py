@@ -325,9 +325,10 @@ def test_mismatch_listing():
     assert list(_coefficient_rows(a, b)) == rows
 
 
-# The subdigon enumerator recurses through its lru_cache, but only to a depth
-# bounded by the weight, and enumerate_subdigons warms the cache lightest type
-# first, so each nested call is a cache hit.
+# The subdigon enumerator recurses through its lru_cache (directly, and
+# through the cached slot groups), but only to a depth bounded by the weight,
+# and enumerate_subdigons warms the cache lightest type first, so each nested
+# call is a cache hit.
 RECURSION_ALLOWED = {"_enumerate_subdigons_cached"}
 
 

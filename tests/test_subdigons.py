@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import geode.subdigons as subdigons_module
 import geode.trees as trees_module
+import oracles
 from geode import (
     LEAF,
     MarkedSubdigon,
@@ -24,7 +26,6 @@ from geode import (
     count_marked_trees,
     decompose_subdigon,
     decompose_tree,
-    enumerate_marked_subdigons,
     enumerate_subdigons,
     enumerate_trees,
     enumerate_types,
@@ -35,6 +36,7 @@ from geode import (
 )
 from oracles import (
     clawed_nodes,
+    enumerate_marked_subdigons,
     external_edges_ccw,
     external_faces,
     nested_tuple,
@@ -161,6 +163,42 @@ def test_enumeration_order_is_pinned():
     )
 
 
+def test_boundary_word_order_is_pinned():
+    # the letters of each boundary word, one word per line, over every type up to weight 8
+    lines = [
+        " ".join(map(str, sub.boundary))
+        for m in enumerate_types(8)
+        for sub in enumerate_subdigons(m)
+    ]
+    assert len(lines) == 2056  # the Catalan numbers C_0 + ... + C_8
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "939dc5d11d7c7f918310355e375f3eb949f70fb8dd66a336837c08dc7e1a7cca"
+    )
+
+
+def test_hostile_sizes_enumerate_in_loops():
+    # a chain of 3,000 bigons and one face of 3,001 edges, one subdigon each:
+    # the chain caches a word for every lighter type (about 36 MB of letters),
+    # and the face's 3,000 slots are filled by a loop, not by recursion
+    subdigons_module._enumerate_subdigons_cached.cache_clear()
+    subdigons_module._slot_groups.cache_clear()
+    tracemalloc.start()
+    try:
+        start = time.process_time()
+        chain = enumerate_subdigons(V((3000,)))
+        face = enumerate_subdigons(V.unit(3000))
+        elapsed = time.process_time() - start  # traced, which only slows it
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        subdigons_module._enumerate_subdigons_cached.cache_clear()
+        subdigons_module._slot_groups.cache_clear()
+    assert [sub.boundary for sub in chain] == [(0,) + (1,) * 3000]
+    assert [sub.boundary for sub in face] == [(0,) * 3000 + (3000,)]
+    assert elapsed < 1.4
+    assert peak < 40 * 2**20
+
+
 @given(random_subdigons)
 def test_roundtrip_random(sub):
     assert tree_to_subdigon(subdigon_to_tree(sub)) == sub
@@ -224,17 +262,14 @@ def test_marked_subdigon_invariant():
 
 
 def test_marked_enumeration_counts_markable_edges_once_per_subdigon(monkeypatch):
-    real, seen = subdigons_module.count_initial_external_edges, []
+    real, seen = oracles.count_initial_external_edges, []
     monkeypatch.setattr(
-        subdigons_module,
-        "count_initial_external_edges",
-        lambda sub: seen.append(sub) or real(sub),
+        oracles, "count_initial_external_edges", lambda sub: seen.append(sub) or real(sub)
     )
     m = V((2, 1, 1))
-    marked = enumerate_marked_subdigons(m)
+    marked = enumerate_marked_subdigons(m)  # through the validating MarkedSubdigon constructor
     assert seen == enumerate_subdigons(m)
     assert len(marked) == count_marked_subdigons(m)
-    assert all(MarkedSubdigon(x.subdigon, x.mark) == x for x in marked)
     # decompose_subdigon builds its result unchecked; the public constructor
     # accepts every mark it makes and still rejects a bad one
     for k in enumerate_types(7)[1:]:  # the zero type has nothing to decompose
@@ -574,12 +609,22 @@ def test_verify_bijections_detects_a_corrupted_leaf_attachment(monkeypatch):
 
 
 def test_verify_bijections_detects_a_short_wanted_set(monkeypatch):
-    real = subdigons_module.enumerate_marked_subdigons
+    real = subdigons_module.count_initial_external_edges
 
-    def short(m):
-        marked = real(m)
-        return marked[:-1] if m == V((0, 1)) else marked
+    def short(sub):  # the triangle, the one subdigon of type (0,1), loses its last mark
+        return real(sub) - (sub == TRIANGLE)
 
-    monkeypatch.setattr(subdigons_module, "enumerate_marked_subdigons", short)
+    monkeypatch.setattr(subdigons_module, "count_initial_external_edges", short)
     # each heavier type's deletions reach a structure no longer wanted
     assert _coverage_mismatches(verify_bijections(4)) == (("1,1", 6, 5), ("0,2", 4, 3))
+
+
+def test_verify_bijections_wants_no_mark_below_a_limit_of_0(monkeypatch):
+    real = subdigons_module.count_initial_external_edges
+
+    def negative(sub):  # the triangle's limit of 2 comes out -2: none of its marks is wanted
+        return -real(sub) if sub == TRIANGLE else real(sub)
+
+    monkeypatch.setattr(subdigons_module, "count_initial_external_edges", negative)
+    # the two deletions onto the triangle reach nothing wanted, whatever the sign
+    assert _coverage_mismatches(verify_bijections(4)) == (("1,1", 6, 4), ("0,2", 4, 2))

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -5,16 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import geode.trees as trees_module
+import oracles
 from geode import (
     LEAF,
     MarkedTree,
     OrderedTree,
     TypeVector,
+    cli,
     compose_tree,
     count_initial_leaves,
     count_marked_trees,
     decompose_tree,
-    enumerate_marked_trees,
     enumerate_trees,
     enumerate_types,
     tree_to_subdigon,
@@ -24,6 +28,7 @@ from oracles import (
     bracket_initial_leaves,
     bracket_type,
     clawed_nodes,
+    enumerate_marked_trees,
     nested_tuple,
     node_paths,
     post_order,
@@ -68,6 +73,27 @@ def test_deep_chain_parses_without_recursion():
     assert compose_tree(n, marked) == chain
 
     assert count_marked_trees(V((1200,))) == 1
+
+
+def test_a_deep_chain_lists_in_linear_memory():
+    # one word of 3,001 letters and its text: a memo per prefix of the word
+    # would hold about 4.5 million letters (36 MB) at this depth
+    for extra, text in [
+        ([], "(" * 3001 + ")" * 3001 + "\n"),
+        (["--marked"], "(" * 3000 + "*" + ")" * 3000 + "\n"),
+    ]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["trees", "--type", "1", *extra]) == 0  # loads the modules
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                argv = ["trees", "--type", "3000", "--max-enum-weight", "3000", *extra]
+                assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.getvalue() == text
+        assert peak < 2**20
 
 
 def test_deep_chains_compare_and_hash():
@@ -223,15 +249,14 @@ def test_marked_tree_invariant():
 
 
 def test_marked_enumeration_counts_initial_leaves_once_per_tree(monkeypatch):
-    real, seen = trees_module.count_initial_leaves, []
+    real, seen = oracles.count_initial_leaves, []
     monkeypatch.setattr(
-        trees_module, "count_initial_leaves", lambda tree: seen.append(tree) or real(tree)
+        oracles, "count_initial_leaves", lambda tree: seen.append(tree) or real(tree)
     )
     m = V((2, 1, 1))
-    marked = enumerate_marked_trees(m)
+    marked = enumerate_marked_trees(m)  # through the validating MarkedTree constructor
     assert seen == enumerate_trees(m)
     assert len(marked) == count_marked_trees(m)
-    assert all(MarkedTree(x.tree, x.mark) == x for x in marked)
     # decompose_tree builds its result unchecked; the public constructor
     # accepts every mark it makes and still rejects a bad one
     for k in enumerate_types(7)[1:]:  # the zero type has nothing to decompose
