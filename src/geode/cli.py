@@ -181,51 +181,39 @@ def _add_bound(p: argparse.ArgumentParser, flag: str, default: int, what: str) -
 
 
 def _cmd_s_table(args: argparse.Namespace) -> int:
-    from .hypercatalan import _hyper_catalan_graded
-    from .series import _graded_layout
+    from .hypercatalan import _hyper_catalan_tails
+    from .series import _blocks
 
-    bound = args.max_weight
-    rows = zip(_texts(bound), _hyper_catalan_graded(bound))
-    if args.no_bigons:  # the one s-table path that reads the layout
-        rows = (row for row, e in zip(rows, _graded_layout(bound)[0]) if not e or not e[0])
-    _emit_table(rows, ["monomial", "coefficient"], args.format)
+    blocks = _blocks(_hyper_catalan_tails(args.max_weight))
+    if args.no_bigons:  # the blocks with m_1 = w - r = 0
+        blocks = (block for block in blocks if block[0] == block[1])
+    _emit_table(args.max_weight, blocks, ["monomial", "coefficient"], args.format)
     return 0
 
 
 def _cmd_g_table(args: argparse.Namespace) -> int:
-    from .factorization import _counted, _geode_coefficients
+    from .factorization import _counted, _solve
+    from .series import _blocks
 
-    columns = ["monomial", "coefficient"]
+    bound, columns = args.max_weight, ["monomial", "coefficient"]
     if not args.with_counts:
-        g = _geode_coefficients(args.max_weight)
-        _emit_table(zip(_texts(args.max_weight), g.values()), columns, args.format)
+        _emit_table(bound, _blocks(_solve(bound)), columns, args.format)
         return 0
-    _refuse_enumeration(args, args.max_weight, "--with-counts enumerates every tree and subdigon")
+    _refuse_enumeration(args, bound, "--with-counts enumerates every tree and subdigon")
     # past the gate, so only --with-counts loads trees and subdigons
     from .subdigons import count_marked_subdigons
     from .trees import count_marked_trees
 
-    counted = _counted(args.max_weight, (count_marked_trees, count_marked_subdigons))
-    rows = [(m.text, *values) for m, *values in counted]
-    _emit_table(rows, columns + ["marked_trees", "marked_subdigons"], args.format)
-    bad = [f"[{text}]" for text, g, mt, ms in rows if not g == mt == ms]
+    counted = _counted(bound, (count_marked_trees, count_marked_subdigons))
+    # graded columns as iterators: a block maps over its tail texts first, so draws its own rows
+    values = [iter(column) for column in list(zip(*counted))[1:]]
+    blocks = ((w, r, *values) for w in range(bound + 1) for r in range(w + 1))
+    _emit_table(bound, blocks, columns + ["marked_trees", "marked_subdigons"], args.format)
+    bad = [f"[{m.text}]" for m, g, mt, ms in counted if not g == mt == ms]
     if bad:
         _warn("count mismatch at monomials: " + ", ".join(bad) + "\n")
         return 1
     return 0
-
-
-def _texts(bound: int) -> list[str]:
-    """The text of every vector of weight <= bound, in ``_graded_layout(bound)``'s order."""
-    from .series import _graded_tails
-
-    # grade w is (w - r, *t) for t a tail of weight r: each tail's text is made once, commas first
-    tails = [["".join([f",{e}" for e in t]) for t in ts] for ts in _graded_tails(bound)]
-    texts = [""]  # grade 0, the one vector with no m_1 to print
-    for w in range(1, bound + 1):
-        for r in range(w + 1):
-            texts += map(str(w - r).__add__, tails[r])
-    return texts
 
 
 def _cmd_trees(args: argparse.Namespace) -> int:
@@ -290,19 +278,26 @@ def _refuse_enumeration(args: argparse.Namespace, weight: int, what: str) -> Non
         )
 
 
-def _emit_table(rows: Iterable[tuple], columns: list[str], fmt: str) -> None:
-    # the bytes of csv.writer(lineterminator="\n") or json.dumps(indent=2): the monomial is
-    # the one text cell, digits and commas, quoted in CSV when it has a comma, never escaped
+def _emit_table(bound: int, blocks: Iterable[tuple], columns: list[str], fmt: str) -> None:
+    # block (w, r, *columns) is the rows (w - r, *t), t a tail of weight r, each from its text
+    # and one value per column; one format a block, in the bytes of csv.writer(lineterminator=
+    # "\n") or json.dumps(indent=2): monomials are quoted in CSV when r > 0, never escaped
+    from .series import _graded_tails
+
     if fmt == "json":
-        cells = [f'    "{columns[0]}": "{{}}"'] + [f'    "{c}": {{}}' for c in columns[1:]]
-        record = ("  {{\n" + ",\n".join(cells) + "\n  }}").format
-        body = ",\n".join([record(*row) for row in rows])
-        sys.stdout.write(f"[\n{body}\n]\n" if body else "[]\n")
-        return
-    cells = ",{}" * (len(columns) - 1) + "\n"
-    quoted, plain = ('"{}"' + cells).format, ("{}" + cells).format
-    lines = [(quoted if "," in row[0] else plain)(*row) for row in rows]
-    sys.stdout.write(",".join(columns) + "\n" + "".join(lines))
+        cells = [f'    "{columns[0]}": "%s{{}}"'] + [f'    "{c}": {{}}' for c in columns[1:]]
+        plain = quoted = ",\n  {{\n" + ",\n".join(cells) + "\n  }}"
+    else:
+        cells = ",{}" * (len(columns) - 1) + "\n"
+        plain, quoted = "%s{}" + cells, '"%s{}"' + cells
+    texts, rows = _graded_tails(bound)[1], []
+    for w, r, *values in blocks:
+        rows += map(((quoted if r else plain) % (w - r if w else "")).format, texts[r], *values)
+    body = "".join(rows)
+    if fmt == "json":
+        sys.stdout.write(f"[{body[1:]}\n]\n" if body else "[]\n")  # less the first ","
+    else:
+        sys.stdout.write(",".join(columns) + "\n" + body)
 
 
 def _write_lines(lines: list[str]) -> None:

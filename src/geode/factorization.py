@@ -26,12 +26,14 @@ numbers from the classical convolution recurrence, not the hyper-Catalan formula
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from operator import sub
+from typing import Callable, Sequence
 
-from .hypercatalan import _hyper_catalan_graded, hyper_catalan_series
+from .hypercatalan import _hyper_catalan_tails, hyper_catalan_series
 from .reports import VerificationReport, compare
 from .series import (
-    TruncatedSeries, TypeVector, _coefficient_rows, _graded_layout, sum_of_variables
+    TruncatedSeries, TypeVector, _coefficient_rows, _graded, _graded_layout, _graded_tails,
+    _trimmed, sum_of_variables,
 )
 
 
@@ -51,43 +53,25 @@ def geode_series(bound: int) -> TruncatedSeries:
 
 def _geode_coefficients(bound: int) -> dict[tuple[int, ...], int]:
     """G(k) keyed by the entry tuple of k, for every k of weight <= bound, in graded order."""
-    return _solve(zip(_graded_layout(bound)[0], _lifted_targets(bound)))
+    return dict(zip(_graded_layout(bound)[0], _graded(_solve(bound))))
 
 
-def _lifted_targets(bound: int) -> tuple[int, ...]:
-    """C(k + e_1) for each k in ``_graded_layout(bound)``'s entries."""
-    return _hyper_catalan_graded(bound, 1)
-
-
-def _solve(pairs: Iterable[tuple[tuple[int, ...], int]]) -> dict[tuple[int, ...], int]:
-    """G(k) for each (entries of k, C(k + e_1)) pair, keyed by entries in the order given.
-
-    Every term k + e_1 - e_(i+1) is lighter than k, so it must already be solved.
-    """
-    solved: dict[tuple[int, ...], int] = {}
-    for k, value in pairs:
-        last = len(k) - 1
-        if last > 0:
-            term = [k[0] + 1, *k[1:]]  # k + e_1; each term lowers one later entry of it
-            try:
-                for i in range(1, last):
-                    if k[i]:
-                        term[i] -= 1
-                        value -= solved[tuple(term)]
-                        term[i] += 1
-                # k is trimmed, so k_last >= 1; lowering it may leave zeros to trim
-                term[last] -= 1
-                while not term[-1]:
-                    term.pop()
-                value -= solved[tuple(term)]
-            except KeyError:
-                text = TypeVector(k).text
-                raise ValueError(f"order visits t^[{text}] before a lighter monomial") from None
-        if value < 0:
-            text = TypeVector(k).text
-            raise NegativeGeodeCoefficientError(f"coefficient of t^[{text}] came out {value}")
-        solved[k] = value
-    return solved
+def _solve(bound: int) -> list[list[list[int]]]:
+    """G((j, *t)) for j = 0, ..., bound - r, one list per tail t of weight r, by weight: the
+    recurrence as a list operation over m_1, G_t = C((j + 1, *t)) less G_(t - e_n)[1:] for each
+    n >= 2 with t_n >= 1, every such tail lighter than t and so already solved."""
+    tails, solved = _graded_tails(bound)[0], {}  # tail -> its G values over m_1
+    for ts, targets in zip(tails, _hyper_catalan_tails(bound, 1)):
+        for t, g in zip(ts, targets):
+            for i, m in enumerate(t):
+                if m:  # G_(t - e_(i + 2))
+                    g = map(sub, g, solved[_trimmed(t[:i] + (m - 1,) + t[i + 1:])][1:])
+            solved[t] = list(g)
+    table = [[solved[t] for t in ts] for ts in tails]
+    if min(map(min, solved.values())) < 0:  # name the first negative value in graded order
+        k, value = next(kv for kv in zip(_graded_layout(bound)[0], _graded(table)) if kv[1] < 0)
+        raise NegativeGeodeCoefficientError(f"coefficient of t^[{TypeVector(k)}] came out {value}")
+    return table
 
 
 def verify_factorization(bound: int) -> VerificationReport:

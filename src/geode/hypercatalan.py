@@ -14,12 +14,14 @@ satisfying S = 1 + sum_{n >= 1} t_n S^n.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import factorial, prod
 from operator import mul
 
 from .reports import VerificationReport, compare
-from .series import TruncatedSeries, TypeVector, _coefficient_rows, _graded_tails, _require_type
+from .series import (
+    TruncatedSeries, TypeVector, _coefficient_rows, _graded, _graded_tails, _require_type
+)
 
 
 def hyper_catalan(m: TypeVector) -> int:
@@ -28,26 +30,23 @@ def hyper_catalan(m: TypeVector) -> int:
     return factorial(m.edge_weight) // (factorial(m.leaf_count) * prod(map(factorial, m.entries)))
 
 
-def _hyper_catalan_graded(bound: int, lift: int = 0) -> tuple[int, ...]:
-    """C(m + lift * e_1) for every m of weight <= bound, aligned with ``_graded_layout(bound)``.
-
-    With m = (w - r, *t), t = (m_2, m_3, ...) of weight r, the leaf count does not
-    depend on m_1, nor does d(t) = leaf_count! * m_2! * m_3! * ...: one divisor per tail
-    and one division per value, C(m + lift * e_1) = ((w + lift)! / (w + lift - r)!) // d(t).
-    """
-    tails = _graded_tails(bound)  # first, as it checks the bound
+def _hyper_catalan_tails(bound: int, lift: int = 0) -> list[list[list[int]]]:
+    """C((j + lift, *t)) for j = 0, ..., bound - r, one list per tail t of weight r, by weight:
+    one divisor per tail, d(t) = leaf_count! * m_2! * m_3! * ..., as neither depends on m_1,
+    and one division per value, C((m_1, *t)) = ((m_1 + r)! / m_1!) // d(t)."""
+    tails = _graded_tails(bound)[0]  # first, as it checks the bound
     fact = list(accumulate(range(1, bound + lift + 2), mul, initial=1))  # fact[n] = n!
-    get = fact.__getitem__
-    d = [[get(1 + r - sum(t)) * prod(map(get, t)) for t in ts] for r, ts in enumerate(tails)]
-    return tuple(chain.from_iterable(
-        map((fact[w + lift] // fact[w + lift - r]).__floordiv__, d[r])
-        for w in range(bound + 1) for r in range(w + 1)  # m_1 = w - r descending, as in the layout
-    ))
+    get, table = fact.__getitem__, []
+    for r, ts in enumerate(tails):
+        rising = [fact[m + r] // fact[m] for m in range(lift, bound - r + lift + 1)]
+        d = [get(1 + r - sum(t)) * prod(map(get, t)) for t in ts]
+        table.append([list(map(divisor.__rfloordiv__, rising)) for divisor in d])
+    return table
 
 
 def hyper_catalan_series(bound: int) -> TruncatedSeries:
     """S truncated at the given edge weight: coefficient of t^m is C(m)."""
-    return TruncatedSeries._from_table(bound, _hyper_catalan_graded(bound))
+    return TruncatedSeries._from_table(bound, _graded(_hyper_catalan_tails(bound)))
 
 
 def verify_functional_equation(bound: int) -> VerificationReport:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, chain, count, zip_longest
-from operator import add, attrgetter, mul
+from operator import add, attrgetter, itemgetter, mul
 from typing import Iterable, Iterator, Mapping
 
 _Grades = dict[int, dict[tuple[int, ...], int]]  # weight -> {entries: coefficient}
@@ -184,36 +184,49 @@ def _require_type(m: TypeVector) -> None:
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True or 2.0 misses, and the check below rejects it
-def _graded_tails(bound: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Entry r holds every trimmed tail (m_2, m_3, ...) of weight r <= bound, m_2 descending
-    first: built from the largest part down, each part n puts m_n before the tails of the rest.
+def _graded_tails(bound: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], tuple]:
+    """Two tables by weight r <= bound: every trimmed tail t = (m_2, m_3, ...) of weight r,
+    m_2 descending first, and the text ",m_2,m_3,..." of each, built in one loop from the
+    largest part down: each part n puts m_n before the tails of the rest, ",m_n" before theirs.
     """
     _require_bound(bound)
-    tails = [((),)] + [()] * bound  # with no part left, only weight 0 has a tail
+    tails, texts = [((),)] + [()] * bound, [("",)] + [()] * bound  # no part left: weight 0 only
+    marks = [f",{m}" for m in range(bound + 1)]
     for n in range(bound, 1, -1):
         # tails[0] stays the empty tail, so m_n = 0 leads only nonempty ones: all trimmed
-        shorter = tails
-        tails = [((),)] + [
-            tuple((m, *t) for m in range(r // n, -1, -1) for t in shorter[r - m * n])
-            for r in range(1, bound + 1)
-        ]
-    return tuple(tails)
+        shorter, shorter_texts, tails, texts = tails, texts, [((),)], [("",)]
+        for r in range(1, bound + 1):
+            parts = range(r // n, -1, -1)
+            tails.append(tuple((m, *t) for m in parts for t in shorter[r - m * n]))
+            texts.append(tuple(marks[m] + s for m in parts for s in shorter_texts[r - m * n]))
+    return tuple(tails), tuple(texts)
 
 
 @lru_cache(maxsize=None, typed=True)
 def _graded_layout(bound: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Entry tuples of every vector of weight <= bound, in graded order, and the
     bound + 2 starts of their grades: grade w is ``entries[starts[w]:starts[w + 1]]``,
-    (w - r, *t) for r = 0, ..., w and t in ``_graded_tails(bound)[r]``.
+    (w - r, *t) for r = 0, ..., w and t in ``_graded_tails(bound)[0][r]``.
 
     >>> _graded_layout(4)[0][7:]
     ((4,), (2, 1), (1, 0, 1), (0, 2), (0, 0, 0, 1))
     """
-    tails = _graded_tails(bound)
+    tails = _graded_tails(bound)[0]
     grades = [((),)] + [  # grade 0's one vector has no m_1 = 0 to lead it
         tuple((w - r, *t) for r in range(w + 1) for t in tails[r]) for w in range(1, bound + 1)
     ]
     return tuple(chain.from_iterable(grades)), (0, *accumulate(map(len, grades)))
+
+
+def _blocks(table: list[list[list[int]]]) -> Iterator[tuple[int, int, Iterator[int]]]:
+    """(w, r, the values of (w - r, *t) for the tails t of weight r) for each r <= w, graded."""
+    blocks = ((w, r) for w in range(len(table)) for r in range(w + 1))
+    return ((w, r, map(itemgetter(w - r), table[r])) for w, r in blocks)
+
+
+def _graded(table: list[list[list[int]]]) -> Iterator[int]:
+    """The values of a table of one list over m_1 per tail, tails by weight, in graded order."""
+    return chain.from_iterable(values for _, _, values in _blocks(table))
 
 
 class TruncatedSeries(_Value):

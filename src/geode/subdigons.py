@@ -235,8 +235,12 @@ def count_initial_external_edges(sub: Subdigon) -> int:
     subdigon's lone edge is markable by convention, matching the single
     markable leaf of the one-node tree.
     """
+    return _initial_external_edges(sub.boundary)
+
+
+def _initial_external_edges(word: Word) -> int:
     # the edges before the first nonzero letter; only the trivial word has none
-    return next(compress(count(), sub.boundary), 1)
+    return next(compress(count(), word), 1)
 
 
 def enumerate_subdigons(m: TypeVector) -> list[Subdigon]:
@@ -249,12 +253,17 @@ def enumerate_subdigons(m: TypeVector) -> list[Subdigon]:
     combination, the first slot's changing slowest.  Independent of the tree
     enumerator.
     """
+    return list(map(_subdigon, _subdigon_words(m)))
+
+
+def _subdigon_words(m: TypeVector) -> tuple[Word, ...]:
+    """The boundary words of ``enumerate_subdigons(m)``, from the cache."""
     _require_type(m)
     # build the smaller types first, so every nested lookup is a cache hit:
     # a part of a type precedes it in _subvectors' lexicographic order
     for part in _subvectors(m.entries):
         _enumerate_subdigons_cached(_trimmed(part))
-    return list(map(_subdigon, _enumerate_subdigons_cached(m.entries)))
+    return _enumerate_subdigons_cached(m.entries)
 
 
 @lru_cache(maxsize=None)
@@ -307,7 +316,7 @@ def count_marked_subdigons(m: TypeVector) -> int:
     Exhaustive, so only feasible at modest edge weight.  Equals the Geode
     coefficient of t^m, mirroring the marked-tree count.
     """
-    return sum(map(count_initial_external_edges, enumerate_subdigons(m)))
+    return sum(map(_initial_external_edges, _subdigon_words(m)))
 
 
 def decompose_subdigon(sub: Subdigon) -> tuple[int, MarkedSubdigon]:

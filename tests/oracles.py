@@ -198,3 +198,23 @@ def enumerate_marked_subdigons(m) -> list:
         for sub in enumerate_subdigons(m)
         for mark in range(count_initial_external_edges(sub))
     ]
+
+
+def geode_by_entries(pairs) -> dict[tuple[int, ...], int]:
+    """G(k) for each (entries of k, C(k + e_1)) pair, keyed by entries in the order given.
+
+    The recurrence G(k) = C(k + e_1) - sum over n >= 2 with k_n >= 1 of G(k + e_1 - e_n),
+    one monomial at a time on entry tuples: any order that visits lighter monomials first
+    works, and a term not yet solved raises ``KeyError``.
+    """
+    solved: dict[tuple[int, ...], int] = {}
+    for k, value in pairs:
+        for i in range(1, len(k)):
+            if k[i]:
+                term = [k[0] + 1, *k[1:]]
+                term[i] -= 1
+                while not term[-1]:
+                    term.pop()
+                value -= solved[tuple(term)]
+        solved[k] = value
+    return solved

@@ -537,29 +537,35 @@ def test_tables_match_the_stdlib_encoders(capsys, command, fmt):
 
 
 @pytest.mark.parametrize("bound", range(17))
-def test_texts_are_the_layouts_monomials(bound):
-    assert cli._texts(bound) == [geode.TypeVector(e).text for e in _graded_layout(bound)[0]]
+def test_texts_are_the_layouts_monomials(capsys, bound):
+    # the block writer with no value column writes each row's monomial alone
+    blocks = ((w, r) for w in range(bound + 1) for r in range(w + 1))
+    cli._emit_table(bound, blocks, ["monomial"], "csv")
+    rows = [line.strip('"') for line in capsys.readouterr().out.splitlines()]
+    assert rows == ["monomial"] + [geode.TypeVector(e).text for e in _graded_layout(bound)[0]]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_s_table_reads_no_layout(capsys, monkeypatch, fmt):
-    # the rows come from the tails' texts and the values alone; --no-bigons filters on the layout
-    argv = ["s-table", "--max-weight", "8", "--format", fmt]
-    expected = run(capsys, *argv)
+    # the rows come from the tails' texts and the values alone, block by block
+    argvs = [["s-table"], ["s-table", "--no-bigons"], ["g-table"]]
+    expected = [run(capsys, *argv, "--max-weight", "8", "--format", fmt) for argv in argvs]
 
     def unreachable(bound):
-        raise AssertionError("s-table read the layout")
+        raise AssertionError("a table read the layout")
 
-    monkeypatch.setattr(geode.series, "_graded_layout", unreachable)
-    assert run(capsys, *argv) == expected
-    assert run(capsys, *argv, "--no-bigons")[0] == 3  # the stub is live
+    for module in (geode.series, factorization):  # every module that binds the name
+        monkeypatch.setattr(module, "_graded_layout", unreachable)
+    assert [run(capsys, *argv, "--max-weight", "8", "--format", fmt) for argv in argvs] == expected
+    # the stub is live: the counted rows still key G by the layout's vectors
+    assert run(capsys, "g-table", "--max-weight", "4", "--with-counts", "--format", fmt)[0] == 3
 
 
 @pytest.mark.parametrize("columns", [["monomial", "coefficient"], ["monomial", "a", "b"]])
 def test_an_empty_table_matches_the_stdlib_encoders(capsys, columns):
-    cli._emit_table([], columns, "json")
+    cli._emit_table(0, [], columns, "json")
     assert capsys.readouterr().out == json.dumps([], indent=2) + "\n"
-    cli._emit_table([], columns, "csv")
+    cli._emit_table(0, [], columns, "csv")
     assert capsys.readouterr().out == ",".join(columns) + "\n"
 
 

@@ -20,9 +20,12 @@ from geode import (
     verify_marked_trees,
 )
 from geode import TruncatedSeries, cli, factorization, hyper_catalan_series
-from geode.factorization import _geode_coefficients, _lifted_targets, _solve
+from geode.factorization import _geode_coefficients, _solve
+from geode.hypercatalan import _hyper_catalan_tails
 from geode.series import _graded_layout, _graded_tails
-from oracles import catalan_numbers, enumerate_marked_subdigons, enumerate_marked_trees
+from oracles import (
+    catalan_numbers, enumerate_marked_subdigons, enumerate_marked_trees, geode_by_entries
+)
 
 V = TypeVector
 
@@ -107,26 +110,46 @@ def lifted_pairs(types):
 
 
 def test_solution_is_independent_of_the_processing_order():
+    # graded order, each grade reversed, and the per-tail solve all give the same G
     bound = 8
     types = enumerate_types(bound)
-    # any order refining the grading is valid; reverse each grade
-    reordered: list[V] = []
-    for weight in range(bound + 1):
-        grade = [m for m in types if m.edge_weight == weight]
-        reordered.extend(reversed(grade))
-    assert _solve(lifted_pairs(reordered)) == _geode_coefficients(bound)
+    reordered = [
+        m for weight in range(bound + 1)
+        for m in reversed([m for m in types if m.edge_weight == weight])
+    ]
+    graded = geode_by_entries(lifted_pairs(types))
+    assert geode_by_entries(lifted_pairs(reordered)) == graded
+    assert _geode_coefficients(bound) == graded
 
 
 def test_solution_matches_a_reordered_run_from_lifted_vectors_at_weight_14():
-    # pins the entry-level lift of k to k + e_1 against TypeVector addition
+    # pins the per-tail lift of k to k + e_1 against TypeVector addition
     bound = 14
     types = enumerate_types(bound)
     reordered = [
         m for weight in range(bound + 1)
         for m in reversed([m for m in types if m.edge_weight == weight])
     ]
-    solved = _solve(lifted_pairs(reordered))
+    solved = geode_by_entries(lifted_pairs(reordered))
     assert TruncatedSeries(bound, {m: solved[m.entries] for m in types}) == geode_series(bound)
+
+
+def test_per_tail_solve_matches_the_entry_keyed_recurrence_up_to_weight_20():
+    # the oracle runs monomial by monomial, each grade reversed, from C(k + e_1) by the formula
+    e1, types = V.unit(1), enumerate_types(20)
+    reordered = [
+        m for weight in range(21) for m in reversed([m for m in types if m.edge_weight == weight])
+    ]
+    expected = geode_by_entries([(k.entries, hyper_catalan(k + e1)) for k in reordered])
+    for bound in range(21):
+        tails, table = _graded_tails(bound)[0], _solve(bound)
+        lengths = [[bound + 1 - r] * len(ts) for r, ts in enumerate(tails)]
+        assert [[len(g) for g in gs] for gs in table] == lengths  # m_1 = 0, ..., bound - r
+        solved = {
+            V((j, *t)).entries: value
+            for ts, gs in zip(tails, table) for t, g in zip(ts, gs) for j, value in enumerate(g)
+        }
+        assert solved == {k.entries: expected[k.entries] for k in enumerate_types(bound)}
 
 
 def test_geode_recurrence_and_g_table_build_no_type_vector(capsys, monkeypatch):
@@ -150,25 +173,31 @@ def test_geode_recurrence_and_g_table_build_no_type_vector(capsys, monkeypatch):
 
 
 def test_lifted_targets_match_the_formula_at_k_plus_e1_up_to_weight_20():
-    # the lift = 1 table, against the formula at the lifted vector
-    e1 = V.unit(1)
+    # each tail's targets, the lift = 1 table, against the formula at the lifted vector
     for bound in (0, 1, 20):
-        targets = list(_lifted_targets(bound))
-        assert targets == [hyper_catalan(k + e1) for k in enumerate_types(bound)]
+        tails = _graded_tails(bound)[0]
+        assert _hyper_catalan_tails(bound, 1) == [
+            [[hyper_catalan(V((j + 1, *t))) for j in range(bound + 1 - r)] for t in ts]
+            for r, ts in enumerate(tails)
+        ]
 
 
-def test_order_visiting_a_vector_too_early_is_a_value_error():
-    # reversed, t_4 comes first, before the t_1 its recurrence term needs
-    types = enumerate_types(4)
-    with pytest.raises(ValueError, match=r"t\^\[0,0,0,1\]"):
-        _solve(lifted_pairs(reversed(types)))
+def test_corrupted_targets_raise_on_negative_coefficient(monkeypatch):
+    real = factorization._hyper_catalan_tails
 
+    def corrupted(bound, lift):
+        targets = real(bound, lift)
+        targets[2][0][2] = 0  # C((3, 1)): G(2,1) = -G(3) = -1, in grade 4
+        targets[3][0][0] = 0  # C((1, 0, 1)): G(0,0,1) = -G(1) = -1, in grade 3
+        return targets
 
-def test_corrupted_targets_raise_on_negative_coefficient():
-    pairs = lifted_pairs(enumerate_types(3))
-    pairs[pairs.index(((1, 1), hyper_catalan(V((2, 1)))))] = ((1, 1), 0)  # G(1,1) = -G(2) < 0
-    with pytest.raises(NegativeGeodeCoefficientError):
-        _solve(pairs)
+    # the tail (1) is solved before the tail (0, 1), but grade 3 comes first
+    monkeypatch.setattr(factorization, "_hyper_catalan_tails", corrupted)
+    message = r"^coefficient of t\^\[0,0,1\] came out -1$"
+    with pytest.raises(NegativeGeodeCoefficientError, match=message):
+        _solve(4)
+    with pytest.raises(NegativeGeodeCoefficientError, match=message):
+        geode_series(4)
 
 
 def test_marked_tree_interpretation_small():

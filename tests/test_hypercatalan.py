@@ -12,8 +12,8 @@ from geode import (
     hyper_catalan_series,
     verify_functional_equation,
 )
-from geode.hypercatalan import _hyper_catalan_graded
-from geode.series import _graded_layout
+from geode.hypercatalan import _hyper_catalan_tails
+from geode.series import _graded, _graded_layout, _graded_tails
 from oracles import catalan_numbers, partition_counts
 
 V = TypeVector
@@ -45,12 +45,13 @@ def test_division_is_exact_up_to_weight_18():
 
 
 def test_graded_table_matches_the_single_monomial_formula_up_to_weight_20():
-    table, entries = _hyper_catalan_graded(20), _graded_layout(20)[0]
+    table, entries = list(_graded(_hyper_catalan_tails(20))), _graded_layout(20)[0]
     assert len(table) == len(entries)
-    assert list(table) == [hyper_catalan(V(e)) for e in entries]
+    assert table == [hyper_catalan(V(e)) for e in entries]
     # a smaller bound is a prefix: the factorial table has no bound-dependent entry
     assert all(
-        _hyper_catalan_graded(b) == table[: len(_graded_layout(b)[0])] for b in range(20)
+        list(_graded(_hyper_catalan_tails(b))) == table[: len(_graded_layout(b)[0])]
+        for b in range(20)
     )
 
 
@@ -135,14 +136,17 @@ def test_functional_equation_bound_20():
 def test_functional_equation_detects_a_corrupted_coefficient(monkeypatch, corrupt):
     # weight 1 feeds every power of S; weight 8 (the bound) reaches only the
     # left-hand side, so truncating S^n at bound - n must not hide either
-    exact = geode.hypercatalan._hyper_catalan_graded
+    exact = geode.hypercatalan._hyper_catalan_tails
     bad = V.parse(corrupt)
+    m1, *t = bad.entries
+    r = V((0, *t)).edge_weight  # the tail's weight
 
-    def corrupted(bound):
-        entries = _graded_layout(bound)[0]
-        return tuple(c + (e == bad.entries) for e, c in zip(entries, exact(bound)))
+    def corrupted(bound, lift=0):
+        table = exact(bound, lift)
+        table[r][_graded_tails(bound)[0][r].index(tuple(t))][m1] += 1  # C((m1, *t)) only
+        return table
 
-    monkeypatch.setattr(geode.hypercatalan, "_hyper_catalan_graded", corrupted)
+    monkeypatch.setattr(geode.hypercatalan, "_hyper_catalan_tails", corrupted)
     report = verify_functional_equation(8)
     assert not report.passed
     assert bad.text in [mm.monomial for mm in report.groups[0].mismatches]

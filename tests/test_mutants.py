@@ -25,13 +25,18 @@ def _edited(func, old: str, new: str):
     return namespace[func.__name__]
 
 
-def _raised_at(real, index):
-    def mutant(*args):
-        values = list(real(*args))
-        values[index] += 1
-        return tuple(values)
+def _raised(r, k, j):
+    """A mutant of a table of one list over m_1 per tail: the value at m_1 = j of the k-th
+    tail of weight r raised by 1."""
+    def make(real):
+        def mutant(*args):
+            table = real(*args)
+            table[r][k][j] += 1
+            return table
 
-    return mutant
+        return mutant
+
+    return make
 
 
 def _next_claw(real):
@@ -59,22 +64,20 @@ MUTANTS = {
         lambda real: _edited(real, TAIL, TAIL + "[1:]"),
         {"functional-equation", "factorization"},
     ),
-    "hyper-Catalan value at index 5 raised by 1": (
-        hypercatalan, "_hyper_catalan_graded",
-        lambda real: _raised_at(real, 5),
+    "hyper-Catalan value at index 5 raised by 1": (  # C(t_1 t_2), index 5 in graded order
+        hypercatalan, "_hyper_catalan_tails", _raised(2, 0, 1),
         {"functional-equation", "factorization", "grade-sums"},
     ),
-    "last lifted target raised by 1": (
-        factorization, "_lifted_targets",
-        lambda real: _raised_at(real, -1),
+    "last lifted target raised by 1": (  # C(t_1 t_B): the last tail of weight B, m_1 = 0
+        factorization, "_hyper_catalan_tails", _raised(-1, -1, -1),
         {"marked-trees", "marked-subdigons", "grade-sums"},
     ),
     "first claw returns the next claw": (
         trees, "_first_claw", _next_claw, {"marked-trees", "bijections"},
     ),
     "one more initial external edge": (
-        subdigons, "count_initial_external_edges",
-        lambda real: lambda sub: real(sub) + 1,
+        subdigons, "_initial_external_edges",
+        lambda real: lambda word: real(word) + 1,
         {"marked-subdigons", "bijections"},
     ),
     "retraversal swaps letters 1 and 2": (

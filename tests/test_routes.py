@@ -5,6 +5,7 @@ Every side of a check runs alone under ``sys.setprofile``, which records the
 into the other route would make its check compare a route with itself, so
 each side has a forbidden set; the plumbing every side may share is
 ``series._graded_layout``, ``series._graded_tails``, ``series._trimmed``,
+the tail-table readers ``series._blocks`` and ``series._graded``,
 ``TypeVector``, ``_Value`` with ``_restore``, and the report records.
 Loosening a forbidden set is a change of spec.
 """
@@ -16,7 +17,7 @@ import pytest
 
 from geode import count_marked_subdigons, count_marked_trees, enumerate_types, hypercatalan
 from geode.factorization import _geode_coefficients
-from geode.hypercatalan import _hyper_catalan_graded
+from geode.hypercatalan import _hyper_catalan_tails
 from geode.series import _graded_layout, _graded_tails
 from geode.subdigons import _enumerate_subdigons_cached, _slot_groups
 
@@ -41,14 +42,14 @@ ENUMERATORS = ("trees", "subdigons")
 # side: (run it, a function it must reach, what it must not reach: a module or a function)
 SIDES = {
     "closed form of S": (
-        lambda: _hyper_catalan_graded(BOUND),
-        "hypercatalan._hyper_catalan_graded",
+        lambda: _hyper_catalan_tails(BOUND),
+        "hypercatalan._hyper_catalan_tails",
         ("factorization", *ENUMERATORS, MUL),
     ),
     "recomposed S": (
         recomposed_side,
         MUL,
-        ("factorization", *ENUMERATORS, "hypercatalan._hyper_catalan_graded"),
+        ("factorization", *ENUMERATORS, "hypercatalan._hyper_catalan_tails"),
     ),
     "G": (
         lambda: _geode_coefficients(BOUND),

@@ -121,7 +121,9 @@ def test_enumerate_types_grade_sizes_match_partitions():
 
 @pytest.mark.parametrize("bound", range(21))
 def test_the_layout_is_each_m1_before_the_tails_of_the_rest(bound):
-    tails, (entries, starts) = _graded_tails(bound), _graded_layout(bound)
+    (tails, texts), (entries, starts) = _graded_tails(bound), _graded_layout(bound)
+    # each tail's text is its entries, a comma before each
+    assert texts == tuple(tuple("".join(f",{e}" for e in t) for t in ts) for ts in tails)
     assert (len(tails), len(starts), starts[-1]) == (bound + 1, bound + 2, len(entries))
     for w in range(bound + 1):
         grade = entries[starts[w]:starts[w + 1]]
