@@ -184,8 +184,8 @@ def _cmd_s_table(args: argparse.Namespace) -> int:
     from .hypercatalan import _hyper_catalan_tails
     from .series import _blocks
 
-    blocks = _blocks(_hyper_catalan_tails(args.max_weight))
-    if args.no_bigons:  # the blocks with m_1 = w - r = 0
+    blocks = _blocks(_hyper_catalan_tails(args.max_weight, bigons=not args.no_bigons))
+    if args.no_bigons:  # the blocks with m_1 = w - r = 0, each tail's one value
         blocks = (block for block in blocks if block[0] == block[1])
     _emit_table(args.max_weight, blocks, ["monomial", "coefficient"], args.format)
     return 0
@@ -257,13 +257,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for module, runner, *_ in map(_CHECKS.get, selected):
         reports.append(getattr(import_module(f".{module}", __package__), runner)(args.max_weight))
     if args.format == "json":
-        import json
-        payload = {
-            "bound": args.max_weight,
-            "passed": all(r.passed for r in reports),
-            "checks": [r.to_dict() for r in reports],
-        }
-        _write_lines([json.dumps(payload, indent=2)])
+        from .reports import json_report
+        _write_lines([json_report(args.max_weight, reports)])
     else:
         _write_lines([line for report in reports for line in report.lines()])
     return 0 if all(r.passed for r in reports) else 1

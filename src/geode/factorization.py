@@ -32,8 +32,8 @@ from typing import Callable, Sequence
 from .hypercatalan import _hyper_catalan_tails, hyper_catalan_series
 from .reports import VerificationReport, compare
 from .series import (
-    TruncatedSeries, TypeVector, _coefficient_rows, _graded, _graded_layout, _graded_tails,
-    _trimmed, sum_of_variables,
+    TruncatedSeries, TypeVector, _blocks, _coefficient_rows, _graded, _graded_layout,
+    _graded_tails, _trimmed, sum_of_variables,
 )
 
 
@@ -48,7 +48,7 @@ class NegativeGeodeCoefficientError(ArithmeticError):
 
 def geode_series(bound: int) -> TruncatedSeries:
     """G truncated at the given edge weight, solved from the factorization."""
-    return TruncatedSeries._from_table(bound, _geode_coefficients(bound).values())
+    return TruncatedSeries._packed(bound, _solve(bound))
 
 
 def _geode_coefficients(bound: int) -> dict[tuple[int, ...], int]:
@@ -109,10 +109,10 @@ def verify_grade_sums(bound: int) -> VerificationReport:
 
     def rows(series: TruncatedSeries, wanted: Callable[[int], int]) -> list[tuple]:
         # one row per grade, each value computed or indexed at w: a short table raises
-        out = [
-            (f"weight {w}", wanted(w), sum(series._grades.get(w, {}).values()))
-            for w in range(bound + 1)
-        ]
+        sums = [0] * (series.bound + 1)
+        for w, _, values in _blocks(series._table()):
+            sums[w] += sum(values)
+        out = [(f"weight {w}", wanted(w), sums[w]) for w in range(bound + 1)]
         if len(out) != series.bound + 1:  # fewer grades is a mismatch, not a smaller PASS
             out.append(("grades compared", series.bound + 1, len(out)))
         return out

@@ -20,7 +20,7 @@ from operator import mul
 
 from .reports import VerificationReport, compare
 from .series import (
-    TruncatedSeries, TypeVector, _coefficient_rows, _graded, _graded_tails, _require_type
+    TruncatedSeries, TypeVector, _coefficient_rows, _graded_tails, _require_type
 )
 
 
@@ -30,15 +30,17 @@ def hyper_catalan(m: TypeVector) -> int:
     return factorial(m.edge_weight) // (factorial(m.leaf_count) * prod(map(factorial, m.entries)))
 
 
-def _hyper_catalan_tails(bound: int, lift: int = 0) -> list[list[list[int]]]:
-    """C((j + lift, *t)) for j = 0, ..., bound - r, one list per tail t of weight r, by weight:
+def _hyper_catalan_tails(bound: int, lift: int = 0, bigons: bool = True) -> list[list[list[int]]]:
+    """C((j + lift, *t)) for j = 0, ..., bound - r, or j = 0 alone without bigons, one list
+    per tail t of weight r, by weight:
     one divisor per tail, d(t) = leaf_count! * m_2! * m_3! * ..., as neither depends on m_1,
     and one division per value, C((m_1, *t)) = ((m_1 + r)! / m_1!) // d(t)."""
     tails = _graded_tails(bound)[0]  # first, as it checks the bound
     fact = list(accumulate(range(1, bound + lift + 2), mul, initial=1))  # fact[n] = n!
     get, table = fact.__getitem__, []
     for r, ts in enumerate(tails):
-        rising = [fact[m + r] // fact[m] for m in range(lift, bound - r + lift + 1)]
+        top = lift + (bound - r if bigons else 0)  # the largest m_1
+        rising = [fact[m + r] // fact[m] for m in range(lift, top + 1)]
         d = [get(1 + r - sum(t)) * prod(map(get, t)) for t in ts]
         table.append([list(map(divisor.__rfloordiv__, rising)) for divisor in d])
     return table
@@ -46,7 +48,7 @@ def _hyper_catalan_tails(bound: int, lift: int = 0) -> list[list[list[int]]]:
 
 def hyper_catalan_series(bound: int) -> TruncatedSeries:
     """S truncated at the given edge weight: coefficient of t^m is C(m)."""
-    return TruncatedSeries._from_table(bound, _graded(_hyper_catalan_tails(bound)))
+    return TruncatedSeries._packed(bound, _hyper_catalan_tails(bound))
 
 
 def verify_functional_equation(bound: int) -> VerificationReport:
@@ -58,12 +60,12 @@ def verify_functional_equation(bound: int) -> VerificationReport:
     listed in the report; a correct implementation produces none.
     """
     closed_form = hyper_catalan_series(bound)
-    rhs = TruncatedSeries.one(bound)
     power = TruncatedSeries.one(bound)
+    terms = [(0, 1, power)]  # (n, sign, S^n): the right side is their sum of sign t_n S^n
     for n in range(1, bound + 1):
         # S^n is needed only up to weight bound - n: t_n lifts the rest past the bound
-        cut = bound - n
-        power = power.with_bound(cut) * closed_form.with_bound(cut)
-        rhs = rhs + TruncatedSeries.variable(n, bound) * power.with_bound(bound)
+        power = power.with_bound(bound - n) * closed_form.with_bound(bound - n)
+        terms.append((n, 1, power))
+    rhs = TruncatedSeries._lifted_sum(bound, terms)
     group = compare("monomials", _coefficient_rows(closed_form, rhs))
     return VerificationReport("functional-equation", bound, (group,))

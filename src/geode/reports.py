@@ -1,8 +1,7 @@
 """Result records produced by the verification routines."""
 
-from __future__ import annotations
-
-from typing import Iterable, NamedTuple
+# no postponed annotations: NamedTuple would compile each string one to a ForwardRef at import
+from typing import Iterable, NamedTuple, Sequence
 
 
 class Mismatch(NamedTuple):
@@ -98,3 +97,32 @@ class VerificationReport(NamedTuple):
                     f"    [{m.monomial}]: expected {m.expected}, got {m.actual}"
                 )
         return out
+
+
+def json_report(bound: int, reports: Sequence[VerificationReport]) -> str:
+    """``json.dumps(payload, indent=2)`` of verify's payload {bound, passed, checks}, a check
+    each report's ``to_dict()``, written with no json module to import."""
+    checks = []
+    for check in (report.to_dict() for report in reports):
+        for group in check["groups"]:
+            group["mismatches"] = [_json_object(m, 12) for m in group["mismatches"]]
+        check["groups"] = [_json_object(group, 8) for group in check["groups"]]
+        checks.append(_json_object(check, 4))
+    passed = all(report.passed for report in reports)
+    return _json_object({"bound": bound, "passed": passed, "checks": checks}, 0)
+
+
+def _json_object(fields: dict, indent: int) -> str:
+    """An object as ``json.dumps(indent=2)`` writes it at this indent, each value an int, a
+    bool, a string that JSON need not escape (names, labels and monomial texts), or a list of
+    objects already written one level deeper."""
+    pad = " " * (indent + 2)
+
+    def text(value: object) -> str:
+        if isinstance(value, list):
+            return "[" + ",".join(f"\n{pad}  {v}" for v in value) + f"\n{pad}]" if value else "[]"
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return f'"{value}"' if isinstance(value, str) else str(value)
+
+    return "{" + ",".join(f'\n{pad}"{k}": {text(v)}' for k, v in fields.items()) + f"\n{pad[2:]}}}"

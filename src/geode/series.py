@@ -14,10 +14,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, chain, count, zip_longest
-from operator import add, attrgetter, itemgetter, mul
+from operator import add, attrgetter, itemgetter, lshift, mul
 from typing import Iterable, Iterator, Mapping
-
-_Grades = dict[int, dict[tuple[int, ...], int]]  # weight -> {entries: coefficient}
 
 
 class _Value:
@@ -229,51 +227,89 @@ def _graded(table: list[list[list[int]]]) -> Iterator[int]:
     return chain.from_iterable(values for _, _, values in _blocks(table))
 
 
+def _code(tail: Iterable[int], radix: int) -> int:
+    """The code m_2 + m_3 R + m_4 R^2 + ... of a tail (m_2, m_3, ...), each entry below R."""
+    return sum(m * radix**i for i, m in enumerate(tail))
+
+
+@lru_cache(maxsize=None)
+def _tail_codes(bound: int, radix: int) -> tuple[tuple[int, ...], ...]:
+    """The code of each tail of ``_graded_tails(bound)``, by weight."""
+    return tuple(tuple(_code(t, radix) for t in ts) for ts in _graded_tails(bound)[0])
+
+
+def _unpack(column: int, width: int, length: int) -> list[int]:
+    """The values in a column's low ``length`` balanced slots, slot j from bit j * width."""
+    half, values = 1 << (width - 1), []
+    for _ in range(length):
+        column += half  # the slot now holds its value plus half, from 0 to 2 half - 1: no borrow
+        values.append((column & 2 * half - 1) - half)
+        column >>= width
+    return values
+
+
+def _pack(bound: int, radix: int, columns: Iterable[tuple], width: int = 1) -> TruncatedSeries:
+    """The series that sums these (r, code, values over m_1 = 0, 1, ...) columns, its slots at
+    least this wide and wide enough for each grade's sum of |value|."""
+    columns, sums, tails = list(columns), [0] * (bound + 1), {}
+    for r, _, values in columns:
+        sums[r : r + len(values)] = map(add, sums[r : r + len(values)], map(abs, values))
+    width = max(width, max(sums).bit_length() + 1)
+    for r, code, values in columns:
+        group, shifts = tails.setdefault(r, {}), range(0, width * len(values), width)
+        group[code] = group.get(code, 0) + sum(map(lshift, values, shifts))
+    return TruncatedSeries._of(bound, radix, width, tails, sums)
+
+
 class TruncatedSeries(_Value):
     """Formal power series with integer coefficients, truncated at a fixed weight.
 
     Monomials of weight above the bound are discarded by every operation.
     Coefficients are plain Python ints and therefore exact at any size.
-    Instances are immutable; all operations return new series.  A series is
-    stored by grade, weight -> {entry tuple: coefficient}, with no zero
-    coefficient and no empty grade.  Arithmetic stays on those tuples, and a
-    product visits only the grade pairs whose weights sum to at most the
-    bound; ``TypeVector`` objects appear only where monomials enter or leave.
+    Instances are immutable; all operations return new series.  A series is a
+    tail table: ``_tails`` maps the weight r of a tail (m_2, m_3, ...) to {code:
+    column}, the code m_2 + m_3 R + m_4 R^2 + ... in a radix R = ``_radix`` above
+    the bound, the column one int whose balanced slot j of ``_width`` bits holds
+    the coefficient of t_1^j times the tail, for j <= bound - r (higher bits are
+    never read).  A product's code is the sum of its factors' codes, and the t_1
+    convolution of two columns is one big-int product.  ``_sums`` bounds each
+    grade's sum of |coefficient|: a width that holds it holds every coefficient.
 
     >>> t1 = TruncatedSeries.variable(1, bound=2)
     >>> print((TruncatedSeries.one(2) + t1) * (TruncatedSeries.one(2) + t1))
     1 + 2*t1 + t1^2
     """
 
-    __slots__ = ("bound", "_grades")
+    __slots__ = ("bound", "_radix", "_width", "_tails", "_sums")
 
     def __init__(self, bound: int, coeffs: Mapping[TypeVector, int] | None = None):
         _require_bound(bound)
-        grades: _Grades = {}
+        columns = []  # each term as a column, zeros below its m_1
         for m, value in (coeffs or {}).items():
             _require_type(m)
             if type(value) is not int:
                 raise TypeError(f"a coefficient must be an int, got {value!r}")
             if value != 0 and m.edge_weight <= bound:
-                grades.setdefault(m.edge_weight, {})[m.entries] = value
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "_grades", grades)
+                m1, *tail = m.entries or (0,)
+                columns.append((m.edge_weight - m1, _code(tail, bound + 1), [0] * m1 + [value]))
+        packed = _pack(bound, bound + 1, columns)
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(packed, name))
 
     @classmethod
-    def _from_grades(cls, bound: int, grades: _Grades) -> TruncatedSeries:
-        """A series from trusted grades, less zeros, empty grades and grades above bound."""
-        series = cls(bound)
-        nonzero = ((w, {e: c for e, c in t.items() if c}) for w, t in grades.items())
-        object.__setattr__(series, "_grades", {w: t for w, t in nonzero if t and w <= bound})
-        return series
+    def _of(cls, bound: int, radix: int, width: int, tails: dict, sums: list) -> TruncatedSeries:
+        """A series from trusted fields, less the tails and grade sums past the bound."""
+        kept = {r: group for r, group in tails.items() if r <= bound}
+        fields = bound, radix, width, kept, sums[: bound + 1]
+        return _restore(cls, dict(zip(cls.__slots__, fields)))
 
     @classmethod
-    def _from_table(cls, bound: int, values: Iterable[int]) -> TruncatedSeries:
-        """A series from trusted coefficients aligned with ``_graded_layout(bound)``'s entries."""
-        (entries, starts), values = _graded_layout(bound), iter(values)
-        # zip draws on the entries first, so each grade takes exactly its own values
-        grades = {w: dict(zip(entries[starts[w]:starts[w + 1]], values)) for w in range(bound + 1)}
-        return cls._from_grades(bound, grades)
+    def _packed(cls, bound: int, table: list, radix: int = 0, width: int = 1) -> TruncatedSeries:
+        """A series from a table of one list over m_1 per tail of ``_graded_tails(bound)``, tails
+        by weight, coded in this radix (bound + 1 unless given), its slots at least this wide."""
+        codes = _tail_codes(bound, radix or bound + 1)
+        columns = (c for r, cs in enumerate(codes) for c in zip([r] * len(cs), cs, table[r]))
+        return _pack(bound, radix or bound + 1, columns, width)
 
     @classmethod
     def zero(cls, bound: int) -> TruncatedSeries:
@@ -290,70 +326,99 @@ class TruncatedSeries(_Value):
 
     def coefficient(self, monomial: TypeVector) -> int:
         _require_type(monomial)
-        return self._grades.get(monomial.edge_weight, {}).get(monomial.entries, 0)
+        return dict(self._terms()).get(monomial.entries, 0)
+
+    def _terms(self) -> list[tuple[tuple[int, ...], int]]:
+        """(entries, coefficient) of every nonzero term, in graded order."""
+        return [(e, v) for e, v in zip(_graded_layout(self.bound)[0], _graded(self._table())) if v]
 
     def items(self) -> list[tuple[TypeVector, int]]:
         """Nonzero (monomial, coefficient) pairs in graded order."""
-        # trimmed tuples of one weight are never prefixes: reverse order is the graded order
-        return [
-            (TypeVector(e), c)
-            for w in sorted(self._grades)
-            for e, c in sorted(self._grades[w].items(), reverse=True)
-        ]
+        return [(TypeVector(e), v) for e, v in self._terms()]
 
     def support(self) -> list[TypeVector]:
         return [m for m, _ in self.items()]
 
     def __len__(self) -> int:
-        return sum(map(len, self._grades.values()))
+        return len(self._terms())
 
     @property
-    def _key(self) -> tuple[int, frozenset[tuple[tuple[int, ...], int]]]:
-        # an entry tuple has exactly one weight, so the terms need no grade
-        terms = (term for grade in self._grades.values() for term in grade.items())
-        return self.bound, frozenset(terms)
+    def _key(self) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+        return self.bound, tuple(self._terms())
 
-    def _check_bound(self, other: TruncatedSeries) -> None:
+    def _table(self) -> list[list[list[int]]]:
+        """The table of ``_packed``: every coefficient up to the bound, zeros included."""
+        width, bound = self._width, self.bound
+        return [
+            [_unpack(self._tails.get(r, {}).get(c, 0), width, bound + 1 - r) for c in codes]
+            for r, codes in enumerate(_tail_codes(bound, self._radix))
+        ]
+
+    def _in(self, radix: int, width: int) -> dict[int, dict[int, int]]:
+        """The tails in this radix and slot width: as they are, or packed anew."""
+        if radix != self._radix:  # new codes: from the table, zeros included
+            return TruncatedSeries._packed(self.bound, self._table(), radix, width)._tails
+        if width == self._width:
+            return self._tails
+        columns = (
+            (r, c, _unpack(p, self._width, self.bound - r + 1))
+            for r, group in self._tails.items() for c, p in group.items()
+        )
+        return _pack(self.bound, radix, columns, width)._tails
+
+    def _checked(self, other: TruncatedSeries) -> TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             raise TypeError(f"operand must be a TruncatedSeries, got {other!r}")
         if self.bound != other.bound:
             raise ValueError(f"bound mismatch: {self.bound} vs {other.bound}")
+        return other
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return self._combine(other, 1)
+        return self._lifted_sum(self.bound, [(0, 1, self), (0, 1, self._checked(other))])
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return self._combine(other, -1)
+        return self._lifted_sum(self.bound, [(0, 1, self), (0, -1, self._checked(other))])
 
-    def _combine(self, other: TruncatedSeries, sign: int) -> TruncatedSeries:
-        """self + sign * other, grade by grade."""
-        self._check_bound(other)
-        total = {w: dict(terms) for w, terms in self._grades.items()}
-        for w, terms in other._grades.items():
-            grade = total.setdefault(w, {})
-            for e, c in terms.items():
-                grade[e] = grade.get(e, 0) + sign * c
-        return TruncatedSeries._from_grades(self.bound, total)
+    @classmethod
+    def _lifted_sum(cls, bound: int, terms: list[tuple]) -> TruncatedSeries:
+        """The sum of sign * t_n * s over the (n, sign, s) terms, t_0 = 1 and each s bounded at
+        bound - n or above: t_1 moves a column up a slot, t_n for n >= 2 adds R^(n - 2) to its
+        code and n to its tail's weight."""
+        sums, radix = [0] * (bound + 1), max(bound + 1, *(s._radix for _, _, s in terms))
+        for n, _, s in terms:
+            sums[n:] = map(add, sums[n:], s._sums)
+        width, tails = max(max(sums).bit_length() + 1, *(s._width for _, _, s in terms)), {}
+        for n, sign, s in terms:
+            step, lift, shift = (radix ** (n - 2), n, 0) if n > 1 else (0, 0, n * width)
+            for r, group in s._in(radix, width).items():
+                out = tails.setdefault(r + lift, {})
+                for code, column in group.items():
+                    out[code + step] = out.get(code + step, 0) + (sign * column << shift)
+        return cls._of(bound, radix, width, tails, sums)
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
-        self._check_bound(other)
-        bound = self.bound
-        product: _Grades = {}
-        for wa, terms_a in self._grades.items():
-            for wb, terms_b in other._grades.items():
-                if wa + wb > bound:
-                    continue
-                grade = product.setdefault(wa + wb, {})
-                for ea, ca in terms_a.items():
-                    for eb, cb in terms_b.items():
-                        # entrywise sum; one of the two tails is empty
-                        key = tuple(map(add, ea, eb)) + (ea[len(eb):] or eb[len(ea):])
-                        grade[key] = grade.get(key, 0) + ca * cb
-        return TruncatedSeries._from_grades(bound, product)
+        bound, a, b = self.bound, self._sums, self._checked(other)._sums
+        sums = [sum(map(mul, a[: w + 1], b[w::-1])) for w in range(bound + 1)]
+        radix, width = max(self._radix, other._radix), max(sums).bit_length() + 1
+        width, product = max(self._width, other._width, width), {}
+        tails_b = other._in(radix, width)
+        for ra, group_a in self._in(radix, width).items():
+            for rb, group_b in tails_b.items():
+                if ra + rb <= bound:  # the slots that the product's tails of weight ra + rb keep
+                    out = product.setdefault(ra + rb, {})
+                    mask = (1 << width * (bound - ra - rb + 1)) - 1
+                    for ca, pa in group_a.items():
+                        pa &= mask
+                        for cb, pb in group_b.items():
+                            out[ca + cb] = out.get(ca + cb, 0) + pa * (pb & mask)
+        return TruncatedSeries._of(bound, radix, width, product, sums)
 
     def with_bound(self, bound: int) -> TruncatedSeries:
         """The same coefficients under another bound; monomials above it are dropped."""
-        return TruncatedSeries._from_grades(bound, self._grades)
+        _require_bound(bound)
+        if bound > self.bound:  # more slots, and maybe a larger radix: packed anew
+            return TruncatedSeries(bound, dict(self.items()))
+        return TruncatedSeries._of(bound, self._radix, self._width, self._tails, self._sums)
 
     def __str__(self) -> str:
         return " + ".join(_format_term(m, c) for m, c in self.items()) or "0"
@@ -370,20 +435,11 @@ def sum_of_variables(bound: int) -> TruncatedSeries:
 def _coefficient_rows(a: TruncatedSeries, b: TruncatedSeries) -> Iterator[tuple]:
     """(entries, a-value, b-value) for every monomial up to the series' common bound, in
     graded order and zeros included: each row is one comparison."""
-    a._check_bound(b)
-    # an entry tuple has exactly one weight, so one dict holds all of a series' terms
-    terms_a, terms_b = ({e: c for t in s._grades.values() for e, c in t.items()} for s in (a, b))
-    return ((e, terms_a.get(e, 0), terms_b.get(e, 0)) for e in _graded_layout(a.bound)[0])
+    a._checked(b)
+    return zip(_graded_layout(a.bound)[0], _graded(a._table()), _graded(b._table()))
 
 
 def _format_term(monomial: TypeVector, value: int) -> str:
-    if not monomial:
-        return str(value)
-    factors = []
-    for i, e in enumerate(monomial.entries):
-        if e == 1:
-            factors.append(f"t{i + 1}")
-        elif e > 1:
-            factors.append(f"t{i + 1}^{e}")
+    factors = [f"t{n}^{e}" if e > 1 else f"t{n}" for n, e in enumerate(monomial.entries, 1) if e]
     body = "*".join(factors)
-    return body if value == 1 else f"{value}*{body}"
+    return str(value) if not factors else body if value == 1 else f"{value}*{body}"

@@ -218,3 +218,30 @@ def geode_by_entries(pairs) -> dict[tuple[int, ...], int]:
                 value -= solved[tuple(term)]
         solved[k] = value
     return solved
+
+
+def monomial_product(a: dict, b: dict, bound: int) -> dict[tuple[int, ...], int]:
+    """a * b cut at the bound, one monomial pair at a time, over {entries: coefficient} dicts
+    with trimmed entry tuples; zero coefficients are left out."""
+    product: dict[tuple[int, ...], int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            width = max(len(ea), len(eb))
+            pad_a, pad_b = ea + (0,) * (width - len(ea)), eb + (0,) * (width - len(eb))
+            e = tuple(x + y for x, y in zip(pad_a, pad_b))
+            if sum(n * m for n, m in enumerate(e, 1)) <= bound:
+                product[e] = product.get(e, 0) + ca * cb
+    return {e: c for e, c in product.items() if c}
+
+
+def monomial_sum(a: dict, b: dict, sign: int = 1) -> dict[tuple[int, ...], int]:
+    """a + sign * b over {entries: coefficient} dicts; zero coefficients are left out."""
+    total = dict(a)
+    for e, c in b.items():
+        total[e] = total.get(e, 0) + sign * c
+    return {e: c for e, c in total.items() if c}
+
+
+def monomial_cut(a: dict, bound: int) -> dict[tuple[int, ...], int]:
+    """The terms of a of weight at most the bound."""
+    return {e: c for e, c in a.items() if sum(n * m for n, m in enumerate(e, 1)) <= bound and c}

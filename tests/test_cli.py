@@ -21,8 +21,10 @@ from geode import (
     factorization,
     geode_series,
     hyper_catalan_series,
+    hypercatalan,
 )
 from geode.cli import main
+from geode.reports import json_report
 from geode.series import _graded_layout
 from oracles import enumerate_marked_trees
 
@@ -265,6 +267,29 @@ def test_verify_json_report(capsys):
         "factorization",
         "bijections",
     ]
+
+
+def test_the_json_report_writer_matches_json_dumps(monkeypatch):
+    # every check of 'verify --checks all,grade-sums --max-weight 7', then three reports with
+    # mismatches from a raised C(t_1 t_2), each alone and all together
+    def reports():
+        return [getattr(geode, runner)(7) for _, runner, *_ in cli._CHECKS.values()]
+
+    passing = reports()
+    real = hypercatalan._hyper_catalan_tails
+
+    def raised(*args):
+        table = real(*args)
+        table[2][0][1] += 1
+        return table
+
+    monkeypatch.setattr(hypercatalan, "_hyper_catalan_tails", raised)
+    failing = [r for r in reports() if not r.passed]
+    assert len(passing) == 6 and all(r.passed for r in passing) and len(failing) == 3
+    for group in [[r] for r in passing + failing] + [passing, passing + failing]:
+        payload = {"bound": 7, "passed": all(r.passed for r in group)}
+        payload["checks"] = [r.to_dict() for r in group]
+        assert json_report(7, group) == json.dumps(payload, indent=2)
 
 
 def test_verify_runs_a_repeated_check_once(capsys):
@@ -570,7 +595,7 @@ def test_an_empty_table_matches_the_stdlib_encoders(capsys, columns):
 
 
 def test_tables_load_neither_csv_nor_json():
-    # a fresh -S child runs each table command, then a JSON report, which does load json
+    # a fresh -S child runs each table command, then a JSON report: none loads either
     code = (
         "import sys, geode.cli\n"
         "for argv in sys.argv[1:]:\n"
@@ -592,7 +617,7 @@ def test_tables_load_neither_csv_nor_json():
         text=True,
         check=True,
     )
-    assert child.stderr.splitlines() == ["[]"] * 4 + ["['json']"]
+    assert child.stderr.splitlines() == ["[]"] * 5
 
 
 class CountingStdout(io.StringIO):

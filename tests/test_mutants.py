@@ -11,7 +11,7 @@ import textwrap
 
 import pytest
 
-from geode import cli, factorization, hypercatalan, subdigons, trees
+from geode import cli, factorization, hypercatalan, series, subdigons, trees
 from geode.series import TruncatedSeries
 from geode.subdigons import _marked_subdigon
 
@@ -56,12 +56,13 @@ def _decompose_marking_edge_0(real):
     return mutant
 
 
-TAIL = "(ea[len(eb):] or eb[len(ea):])"  # the longer key's entries past the shorter one
+# the product tail's code ca + cb less its lowest digit, m_2
+DROPPED_M2 = "out[ca + cb - (ca + cb) % radix] = out.get(ca + cb - (ca + cb) % radix, 0)"
 
 MUTANTS = {
-    "product drops the first tail entry of each key": (
+    "product drops the first tail entry of each key": (  # m_2, the lowest digit of a tail code
         TruncatedSeries, "__mul__",
-        lambda real: _edited(real, TAIL, TAIL + "[1:]"),
+        lambda real: _edited(real, "out[ca + cb] = out.get(ca + cb, 0)", DROPPED_M2),
         {"functional-equation", "factorization"},
     ),
     "hyper-Catalan value at index 5 raised by 1": (  # C(t_1 t_2), index 5 in graded order
@@ -93,9 +94,9 @@ MUTANTS = {
         lambda real: _edited(real, "range(bound + 1)", "range(bound - 1)"),
         {"grade-sums"},
     ),
-    "series keep only the grades below the bound": (
-        TruncatedSeries, "_from_grades",
-        lambda real: _edited(real, "w <= bound", "w < bound"),
+    "series keep only the grades below the bound": (  # each column read one slot short
+        series, "_unpack",
+        lambda real: lambda column, width, length: real(column, width, length - 1) + [0],
         {"grade-sums"},
     ),
 }

@@ -15,7 +15,7 @@ from geode import (
     sum_of_variables,
 )
 from geode.series import _coefficient_rows, _graded_layout, _graded_tails
-from oracles import partition_counts
+from oracles import monomial_cut, monomial_product, monomial_sum, partition_counts
 
 V = TypeVector
 
@@ -245,6 +245,53 @@ def test_mul_matches_all_pairs_oracle(pair):
     assert a * b == all_pairs_product(a, b)
 
 
+HUGE = st.integers(min_value=-(2**100), max_value=2**100)
+
+
+def huge_terms(bound: int):
+    """{entries: coefficient} dicts of weight <= bound, coefficients up to 2^100 in size."""
+    entries = [m.entries for m in enumerate_types(bound)]
+    return st.dictionaries(st.sampled_from(entries), HUGE | st.integers(-3, 3), max_size=8)
+
+
+def terms_of(series: TruncatedSeries) -> dict:
+    return {m.entries: c for m, c in series.items()}
+
+
+@given(
+    st.integers(0, 6).flatmap(
+        lambda w: st.tuples(
+            st.just(w), huge_terms(w), huge_terms(w), st.sets(st.integers(0, 7)), st.integers(0, 9)
+        )
+    )
+)
+def test_arithmetic_matches_the_monomial_dict_oracle(args):
+    # c cancels a chosen part of a, so sums and products of mixed signs reach 0; products of
+    # products and series of unlike slot widths and radixes meet in every operation
+    bound, a, b, cancelled, cut = args
+    c = {e: -v for i, (e, v) in enumerate(a.items()) if i in cancelled}
+    sa, sb, sc = (TruncatedSeries(bound, {V(e): v for e, v in t.items()}) for t in (a, b, c))
+    ac = monomial_sum(a, c)
+    assert terms_of(sa + sb) == monomial_sum(a, b)
+    assert terms_of(sa - sb) == monomial_sum(a, b, -1)
+    assert terms_of(sa + sc) == ac
+    assert terms_of(sa * sb) == monomial_product(a, b, bound)
+    assert terms_of((sa + sc) * sb) == monomial_product(ac, b, bound)
+    assert terms_of(sa * sb - sb * sa) == {}
+    assert terms_of((sa * sb) * (sa - sb)) == monomial_product(
+        monomial_product(a, b, bound), monomial_sum(a, b, -1), bound
+    )
+    low = min(cut, bound)
+    assert terms_of(sa.with_bound(cut)) == monomial_cut(a, cut)
+    lowered = sa.with_bound(low) * TruncatedSeries(low, {V(e): v for e, v in b.items()})
+    assert terms_of(lowered) == monomial_product(a, b, low)
+    raised = (sa * sb).with_bound(bound + 3)
+    assert terms_of(raised * sb.with_bound(bound + 3)) == monomial_product(
+        monomial_product(a, b, bound), b, bound + 3
+    )
+    assert raised.with_bound(bound) == sa * sb
+
+
 def test_mul_cancellation_mixed_lengths_and_exact_bound():
     # (t1 - t2)(t1 + t2) = t1^2 - t2^2: the t1*t2 terms cancel, the operands'
     # entries have lengths 1 and 2, and t2^2 lands exactly on the bound 4
@@ -313,7 +360,7 @@ def test_series_are_immutable():
         return TruncatedSeries(2, {V.zero(): 1, V((1,)): 2, V((0, 1)): 3})
 
     s = build()
-    for field in ("bound", "_grades", "x"):
+    for field in ("bound", "_tails", "x"):
         with pytest.raises(AttributeError):
             setattr(s, field, 0)
     assert s == build()
