@@ -53,7 +53,7 @@ def geode_series(bound: int) -> TruncatedSeries:
 
 def _geode_coefficients(bound: int) -> dict[tuple[int, ...], int]:
     """G(k) keyed by the entry tuple of k, for every k of weight <= bound, in graded order."""
-    return dict(zip(_graded_layout(bound)[0], _graded(_solve(bound))))
+    return dict(zip(_graded_layout(bound), _graded(_solve(bound))))
 
 
 def _solve(bound: int) -> list[list[list[int]]]:
@@ -69,7 +69,7 @@ def _solve(bound: int) -> list[list[list[int]]]:
             solved[t] = list(g)
     table = [[solved[t] for t in ts] for ts in tails]
     if min(map(min, solved.values())) < 0:  # name the first negative value in graded order
-        k, value = next(kv for kv in zip(_graded_layout(bound)[0], _graded(table)) if kv[1] < 0)
+        k, value = next(kv for kv in zip(_graded_layout(bound), _graded(table)) if kv[1] < 0)
         raise NegativeGeodeCoefficientError(f"coefficient of t^[{TypeVector(k)}] came out {value}")
     return table
 

@@ -61,11 +61,11 @@ def verify_functional_equation(bound: int) -> VerificationReport:
     """
     closed_form = hyper_catalan_series(bound)
     power = TruncatedSeries.one(bound)
-    terms = [(0, 1, power)]  # (n, sign, S^n): the right side is their sum of sign t_n S^n
+    terms = [(0, power)]  # (n, S^n): the right side is their sum of t_n S^n
     for n in range(1, bound + 1):
         # S^n is needed only up to weight bound - n: t_n lifts the rest past the bound
         power = power.with_bound(bound - n) * closed_form.with_bound(bound - n)
-        terms.append((n, 1, power))
+        terms.append((n, power))
     rhs = TruncatedSeries._lifted_sum(bound, terms)
     group = compare("monomials", _coefficient_rows(closed_form, rhs))
     return VerificationReport("functional-equation", bound, (group,))

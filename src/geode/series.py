@@ -13,9 +13,10 @@ hence the name.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, chain, count, zip_longest
+from itertools import chain, count, takewhile, zip_longest
+from math import prod
 from operator import add, attrgetter, itemgetter, lshift, mul
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class _Value:
@@ -164,7 +165,7 @@ def enumerate_types(bound: int) -> list[TypeVector]:
     (m_n = multiplicity of the part n), so the list grows by p(w) entries per
     grade; ``_graded_layout`` lists them in this order, built on ``_graded_tails``.
     """
-    return list(map(TypeVector, _graded_layout(bound)[0]))
+    return list(map(TypeVector, _graded_layout(bound)))
 
 
 def _require_bound(bound: int) -> None:
@@ -201,19 +202,17 @@ def _graded_tails(bound: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], 
 
 
 @lru_cache(maxsize=None, typed=True)
-def _graded_layout(bound: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Entry tuples of every vector of weight <= bound, in graded order, and the
-    bound + 2 starts of their grades: grade w is ``entries[starts[w]:starts[w + 1]]``,
+def _graded_layout(bound: int) -> tuple[tuple[int, ...], ...]:
+    """Entry tuples of every vector of weight <= bound, in graded order: grade w is
     (w - r, *t) for r = 0, ..., w and t in ``_graded_tails(bound)[0][r]``.
 
-    >>> _graded_layout(4)[0][7:]
+    >>> _graded_layout(4)[7:]
     ((4,), (2, 1), (1, 0, 1), (0, 2), (0, 0, 0, 1))
     """
     tails = _graded_tails(bound)[0]
-    grades = [((),)] + [  # grade 0's one vector has no m_1 = 0 to lead it
-        tuple((w - r, *t) for r in range(w + 1) for t in tails[r]) for w in range(1, bound + 1)
-    ]
-    return tuple(chain.from_iterable(grades)), (0, *accumulate(map(len, grades)))
+    return ((),) + tuple(  # grade 0's one vector has no m_1 = 0 to lead it
+        (w - r, *t) for w in range(1, bound + 1) for r in range(w + 1) for t in tails[r]
+    )
 
 
 def _blocks(table: list[list[list[int]]]) -> Iterator[tuple[int, int, Iterator[int]]]:
@@ -227,15 +226,27 @@ def _graded(table: list[list[list[int]]]) -> Iterator[int]:
     return chain.from_iterable(values for _, _, values in _blocks(table))
 
 
-def _code(tail: Iterable[int], radix: int) -> int:
-    """The code m_2 + m_3 R + m_4 R^2 + ... of a tail (m_2, m_3, ...), each entry below R."""
-    return sum(m * radix**i for i, m in enumerate(tail))
+@lru_cache(maxsize=None)
+def _primes(k: int) -> tuple[int, ...]:
+    """The first 2^k primes, each found by trial division by the primes up to its square root."""
+    primes, candidate = [2], 2
+    while len(primes) < 1 << k:
+        candidate += 1
+        if all(candidate % p for p in takewhile(lambda p: p * p <= candidate, primes)):
+            primes.append(candidate)
+    return tuple(primes)
+
+
+def _code(tail: Sequence[int]) -> int:
+    """The code 2^m_2 3^m_3 5^m_4 ... of a tail (m_2, m_3, ...): the product of p(n)^m_n, with
+    p(n) the (n - 1)-th prime."""
+    return prod(p**m for p, m in zip(_primes(len(tail).bit_length()), tail) if m)
 
 
 @lru_cache(maxsize=None)
-def _tail_codes(bound: int, radix: int) -> tuple[tuple[int, ...], ...]:
+def _tail_codes(bound: int) -> tuple[tuple[int, ...], ...]:
     """The code of each tail of ``_graded_tails(bound)``, by weight."""
-    return tuple(tuple(_code(t, radix) for t in ts) for ts in _graded_tails(bound)[0])
+    return tuple(tuple(map(_code, ts)) for ts in _graded_tails(bound)[0])
 
 
 def _unpack(column: int, width: int, length: int) -> list[int]:
@@ -248,7 +259,7 @@ def _unpack(column: int, width: int, length: int) -> list[int]:
     return values
 
 
-def _pack(bound: int, radix: int, columns: Iterable[tuple], width: int = 1) -> TruncatedSeries:
+def _pack(bound: int, columns: Iterable[tuple], width: int = 1) -> TruncatedSeries:
     """The series that sums these (r, code, values over m_1 = 0, 1, ...) columns, its slots at
     least this wide and wide enough for each grade's sum of |value|."""
     columns, sums, tails = list(columns), [0] * (bound + 1), {}
@@ -258,7 +269,7 @@ def _pack(bound: int, radix: int, columns: Iterable[tuple], width: int = 1) -> T
     for r, code, values in columns:
         group, shifts = tails.setdefault(r, {}), range(0, width * len(values), width)
         group[code] = group.get(code, 0) + sum(map(lshift, values, shifts))
-    return TruncatedSeries._of(bound, radix, width, tails, sums)
+    return TruncatedSeries._of(bound, width, tails, sums)
 
 
 class TruncatedSeries(_Value):
@@ -268,19 +279,19 @@ class TruncatedSeries(_Value):
     Coefficients are plain Python ints and therefore exact at any size.
     Instances are immutable; all operations return new series.  A series is a
     tail table: ``_tails`` maps the weight r of a tail (m_2, m_3, ...) to {code:
-    column}, the code m_2 + m_3 R + m_4 R^2 + ... in a radix R = ``_radix`` above
-    the bound, the column one int whose balanced slot j of ``_width`` bits holds
-    the coefficient of t_1^j times the tail, for j <= bound - r (higher bits are
-    never read).  A product's code is the sum of its factors' codes, and the t_1
-    convolution of two columns is one big-int product.  ``_sums`` bounds each
-    grade's sum of |coefficient|: a width that holds it holds every coefficient.
+    column}.  The code 2^m_2 3^m_3 5^m_4 ... is the product of p(n)^m_n, p(n) the
+    (n - 1)-th prime, so a product's code is the product of its factors' codes.
+    The column is one int whose balanced slot j of ``_width`` bits holds the
+    coefficient of t_1^j times the tail, for j <= bound - r (higher bits are
+    never read), so the t_1 convolution of two columns is one big-int product.
+    ``_sums`` bounds each grade's sum of |coefficient|, and so each coefficient.
 
     >>> t1 = TruncatedSeries.variable(1, bound=2)
     >>> print((TruncatedSeries.one(2) + t1) * (TruncatedSeries.one(2) + t1))
     1 + 2*t1 + t1^2
     """
 
-    __slots__ = ("bound", "_radix", "_width", "_tails", "_sums")
+    __slots__ = ("bound", "_width", "_tails", "_sums")
 
     def __init__(self, bound: int, coeffs: Mapping[TypeVector, int] | None = None):
         _require_bound(bound)
@@ -291,29 +302,23 @@ class TruncatedSeries(_Value):
                 raise TypeError(f"a coefficient must be an int, got {value!r}")
             if value != 0 and m.edge_weight <= bound:
                 m1, *tail = m.entries or (0,)
-                columns.append((m.edge_weight - m1, _code(tail, bound + 1), [0] * m1 + [value]))
-        packed = _pack(bound, bound + 1, columns)
+                columns.append((m.edge_weight - m1, _code(tail), [0] * m1 + [value]))
+        packed = _pack(bound, columns)
         for name in self.__slots__:
             object.__setattr__(self, name, getattr(packed, name))
 
     @classmethod
-    def _of(cls, bound: int, radix: int, width: int, tails: dict, sums: list) -> TruncatedSeries:
+    def _of(cls, bound: int, width: int, tails: dict, sums: list) -> TruncatedSeries:
         """A series from trusted fields, less the tails and grade sums past the bound."""
         kept = {r: group for r, group in tails.items() if r <= bound}
-        fields = bound, radix, width, kept, sums[: bound + 1]
+        fields = bound, width, kept, sums[: bound + 1]
         return _restore(cls, dict(zip(cls.__slots__, fields)))
 
     @classmethod
-    def _packed(cls, bound: int, table: list, radix: int = 0, width: int = 1) -> TruncatedSeries:
-        """A series from a table of one list over m_1 per tail of ``_graded_tails(bound)``, tails
-        by weight, coded in this radix (bound + 1 unless given), its slots at least this wide."""
-        codes = _tail_codes(bound, radix or bound + 1)
-        columns = (c for r, cs in enumerate(codes) for c in zip([r] * len(cs), cs, table[r]))
-        return _pack(bound, radix or bound + 1, columns, width)
-
-    @classmethod
-    def zero(cls, bound: int) -> TruncatedSeries:
-        return cls(bound)
+    def _packed(cls, bound: int, table: list) -> TruncatedSeries:
+        """A series from a table of one list over m_1 per tail of ``_graded_tails(bound)``."""
+        columns = enumerate(zip(_tail_codes(bound), table))
+        return _pack(bound, ((r, c, v) for r, (cs, vs) in columns for c, v in zip(cs, vs)))
 
     @classmethod
     def one(cls, bound: int) -> TruncatedSeries:
@@ -330,7 +335,7 @@ class TruncatedSeries(_Value):
 
     def _terms(self) -> list[tuple[tuple[int, ...], int]]:
         """(entries, coefficient) of every nonzero term, in graded order."""
-        return [(e, v) for e, v in zip(_graded_layout(self.bound)[0], _graded(self._table())) if v]
+        return [(e, v) for e, v in zip(_graded_layout(self.bound), _graded(self._table())) if v]
 
     def items(self) -> list[tuple[TypeVector, int]]:
         """Nonzero (monomial, coefficient) pairs in graded order."""
@@ -351,20 +356,19 @@ class TruncatedSeries(_Value):
         width, bound = self._width, self.bound
         return [
             [_unpack(self._tails.get(r, {}).get(c, 0), width, bound + 1 - r) for c in codes]
-            for r, codes in enumerate(_tail_codes(bound, self._radix))
+            for r, codes in enumerate(_tail_codes(bound))
         ]
 
-    def _in(self, radix: int, width: int) -> dict[int, dict[int, int]]:
-        """The tails in this radix and slot width: as they are, or packed anew."""
-        if radix != self._radix:  # new codes: from the table, zeros included
-            return TruncatedSeries._packed(self.bound, self._table(), radix, width)._tails
-        if width == self._width:
-            return self._tails
+    def _in(self, bound: int, width: int) -> TruncatedSeries:
+        """This series under another bound, its slots at least this wide: its tails as they are
+        if neither grows, else packed anew slot by slot (bits above a column's slots are not 0)."""
+        if bound <= self.bound and width == self._width:
+            return TruncatedSeries._of(bound, width, self._tails, self._sums)
         columns = (
             (r, c, _unpack(p, self._width, self.bound - r + 1))
             for r, group in self._tails.items() for c, p in group.items()
         )
-        return _pack(self.bound, radix, columns, width)._tails
+        return _pack(bound, columns, width)
 
     def _checked(self, other: TruncatedSeries) -> TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
@@ -374,35 +378,31 @@ class TruncatedSeries(_Value):
         return other
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return self._lifted_sum(self.bound, [(0, 1, self), (0, 1, self._checked(other))])
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return self._lifted_sum(self.bound, [(0, 1, self), (0, -1, self._checked(other))])
+        return self._lifted_sum(self.bound, [(0, self), (0, self._checked(other))])
 
     @classmethod
     def _lifted_sum(cls, bound: int, terms: list[tuple]) -> TruncatedSeries:
-        """The sum of sign * t_n * s over the (n, sign, s) terms, t_0 = 1 and each s bounded at
-        bound - n or above: t_1 moves a column up a slot, t_n for n >= 2 adds R^(n - 2) to its
-        code and n to its tail's weight."""
-        sums, radix = [0] * (bound + 1), max(bound + 1, *(s._radix for _, _, s in terms))
-        for n, _, s in terms:
+        """The sum of t_n * s over the (n, s) terms, t_0 = 1 and each s bounded at bound - n or
+        above: t_1 moves a column up a slot, t_n for n >= 2 multiplies its code by p(n) and adds
+        n to its tail's weight."""
+        sums = [0] * (bound + 1)
+        for n, s in terms:
             sums[n:] = map(add, sums[n:], s._sums)
-        width, tails = max(max(sums).bit_length() + 1, *(s._width for _, _, s in terms)), {}
-        for n, sign, s in terms:
-            step, lift, shift = (radix ** (n - 2), n, 0) if n > 1 else (0, 0, n * width)
-            for r, group in s._in(radix, width).items():
+        width, tails = max(max(sums).bit_length() + 1, *(s._width for _, s in terms)), {}
+        for n, s in terms:
+            p, lift, shift = (_code((0,) * (n - 2) + (1,)), n, 0) if n > 1 else (1, 0, n * width)
+            for r, group in s._in(s.bound, width)._tails.items():
                 out = tails.setdefault(r + lift, {})
                 for code, column in group.items():
-                    out[code + step] = out.get(code + step, 0) + (sign * column << shift)
-        return cls._of(bound, radix, width, tails, sums)
+                    out[code * p] = out.get(code * p, 0) + (column << shift)
+        return cls._of(bound, width, tails, sums)
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         bound, a, b = self.bound, self._sums, self._checked(other)._sums
         sums = [sum(map(mul, a[: w + 1], b[w::-1])) for w in range(bound + 1)]
-        radix, width = max(self._radix, other._radix), max(sums).bit_length() + 1
-        width, product = max(self._width, other._width, width), {}
-        tails_b = other._in(radix, width)
-        for ra, group_a in self._in(radix, width).items():
+        width = max(self._width, other._width, max(sums).bit_length() + 1)
+        tails_b, product = other._in(bound, width)._tails, {}
+        for ra, group_a in self._in(bound, width)._tails.items():
             for rb, group_b in tails_b.items():
                 if ra + rb <= bound:  # the slots that the product's tails of weight ra + rb keep
                     out = product.setdefault(ra + rb, {})
@@ -410,15 +410,13 @@ class TruncatedSeries(_Value):
                     for ca, pa in group_a.items():
                         pa &= mask
                         for cb, pb in group_b.items():
-                            out[ca + cb] = out.get(ca + cb, 0) + pa * (pb & mask)
-        return TruncatedSeries._of(bound, radix, width, product, sums)
+                            out[ca * cb] = out.get(ca * cb, 0) + pa * (pb & mask)
+        return TruncatedSeries._of(bound, width, product, sums)
 
     def with_bound(self, bound: int) -> TruncatedSeries:
         """The same coefficients under another bound; monomials above it are dropped."""
         _require_bound(bound)
-        if bound > self.bound:  # more slots, and maybe a larger radix: packed anew
-            return TruncatedSeries(bound, dict(self.items()))
-        return TruncatedSeries._of(bound, self._radix, self._width, self._tails, self._sums)
+        return self._in(bound, self._width)
 
     def __str__(self) -> str:
         return " + ".join(_format_term(m, c) for m, c in self.items()) or "0"
@@ -436,7 +434,7 @@ def _coefficient_rows(a: TruncatedSeries, b: TruncatedSeries) -> Iterator[tuple]
     """(entries, a-value, b-value) for every monomial up to the series' common bound, in
     graded order and zeros included: each row is one comparison."""
     a._checked(b)
-    return zip(_graded_layout(a.bound)[0], _graded(a._table()), _graded(b._table()))
+    return zip(_graded_layout(a.bound), _graded(a._table()), _graded(b._table()))
 
 
 def _format_term(monomial: TypeVector, value: int) -> str:

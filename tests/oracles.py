@@ -31,6 +31,15 @@ def catalan_numbers(count: int) -> list[int]:
     return cat
 
 
+def primes_below(limit: int) -> list[int]:
+    """The primes below ``limit``, by the sieve of Eratosthenes."""
+    sieve = [False, False] + [True] * (limit - 2)
+    for n in range(2, limit):
+        if sieve[n]:
+            sieve[n * n :: n] = [False] * len(range(n * n, limit, n))
+    return [n for n, prime in enumerate(sieve) if prime]
+
+
 def partition_counts(limit: int) -> list[int]:
     """p(0), ..., p(limit) by the parts-accumulation recurrence."""
     p = [1] + [0] * limit

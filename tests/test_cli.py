@@ -567,7 +567,7 @@ def test_texts_are_the_layouts_monomials(capsys, bound):
     blocks = ((w, r) for w in range(bound + 1) for r in range(w + 1))
     cli._emit_table(bound, blocks, ["monomial"], "csv")
     rows = [line.strip('"') for line in capsys.readouterr().out.splitlines()]
-    assert rows == ["monomial"] + [geode.TypeVector(e).text for e in _graded_layout(bound)[0]]
+    assert rows == ["monomial"] + [geode.TypeVector(e).text for e in _graded_layout(bound)]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

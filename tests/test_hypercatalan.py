@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import pytest
 
@@ -45,12 +46,12 @@ def test_division_is_exact_up_to_weight_18():
 
 
 def test_graded_table_matches_the_single_monomial_formula_up_to_weight_20():
-    table, entries = list(_graded(_hyper_catalan_tails(20))), _graded_layout(20)[0]
+    table, entries = list(_graded(_hyper_catalan_tails(20))), _graded_layout(20)
     assert len(table) == len(entries)
     assert table == [hyper_catalan(V(e)) for e in entries]
     # a smaller bound is a prefix: the factorial table has no bound-dependent entry
     assert all(
-        list(_graded(_hyper_catalan_tails(b))) == table[: len(_graded_layout(b)[0])]
+        list(_graded(_hyper_catalan_tails(b))) == table[: len(_graded_layout(b))]
         for b in range(20)
     )
 
@@ -64,10 +65,9 @@ def test_series_matches_the_single_monomial_formula_up_to_weight_16():
 
 def test_grade_starts_mark_each_grade_at_its_first_vector():
     bound = 20
-    entries, starts = _graded_layout(bound)
-    assert len(starts) == bound + 2
-    assert starts[0] == 0 and starts[-1] == len(entries)
-    p = partition_counts(bound)
+    entries, p = _graded_layout(bound), partition_counts(bound)
+    starts = [0, *accumulate(p)]
+    assert starts[-1] == len(entries)
     for w in range(bound + 1):
         grade = entries[starts[w]:starts[w + 1]]
         assert grade[0] == ((w,) if w else ())  # t_1^w leads its grade

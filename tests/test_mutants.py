@@ -56,13 +56,13 @@ def _decompose_marking_edge_0(real):
     return mutant
 
 
-# the product tail's code ca + cb less its lowest digit, m_2
-DROPPED_M2 = "out[ca + cb - (ca + cb) % radix] = out.get(ca + cb - (ca + cb) % radix, 0)"
+# the product tail's code ca * cb less its power of 2, that is p(2)^m_2
+DROPPED_M2 = "out[ca * cb // (ca * cb & -ca * cb)] = out.get(ca * cb // (ca * cb & -ca * cb), 0)"
 
 MUTANTS = {
-    "product drops the first tail entry of each key": (  # m_2, the lowest digit of a tail code
+    "product drops the first tail entry of each key": (  # m_2, a tail code's power of 2
         TruncatedSeries, "__mul__",
-        lambda real: _edited(real, "out[ca + cb] = out.get(ca + cb, 0)", DROPPED_M2),
+        lambda real: _edited(real, "out[ca * cb] = out.get(ca * cb, 0)", DROPPED_M2),
         {"functional-equation", "factorization"},
     ),
     "hyper-Catalan value at index 5 raised by 1": (  # C(t_1 t_2), index 5 in graded order

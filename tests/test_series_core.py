@@ -2,6 +2,7 @@ import ast
 import importlib
 import operator
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,17 @@ from geode import (
     enumerate_types,
     sum_of_variables,
 )
-from geode.series import _coefficient_rows, _graded_layout, _graded_tails
-from oracles import monomial_cut, monomial_product, monomial_sum, partition_counts
+from geode.series import (
+    _coefficient_rows, _graded_layout, _graded_tails, _primes, _tail_codes,
+)
+from oracles import monomial_cut, monomial_product, monomial_sum, partition_counts, primes_below
 
 V = TypeVector
+
+
+def negated(s: TruncatedSeries) -> TruncatedSeries:
+    """-s, built through the constructor: the series has no subtraction."""
+    return TruncatedSeries(s.bound, {m: -c for m, c in s.items()})
 
 
 def graded(m: TypeVector) -> tuple:
@@ -121,10 +129,11 @@ def test_enumerate_types_grade_sizes_match_partitions():
 
 @pytest.mark.parametrize("bound", range(21))
 def test_the_layout_is_each_m1_before_the_tails_of_the_rest(bound):
-    (tails, texts), (entries, starts) = _graded_tails(bound), _graded_layout(bound)
+    (tails, texts), entries = _graded_tails(bound), _graded_layout(bound)
+    starts = [0, *accumulate(partition_counts(bound))]
     # each tail's text is its entries, a comma before each
     assert texts == tuple(tuple("".join(f",{e}" for e in t) for t in ts) for ts in tails)
-    assert (len(tails), len(starts), starts[-1]) == (bound + 1, bound + 2, len(entries))
+    assert (len(tails), starts[-1]) == (bound + 1, len(entries))
     for w in range(bound + 1):
         grade = entries[starts[w]:starts[w + 1]]
         assert grade == tuple(V((w - r, *t)).entries for r in range(w + 1) for t in tails[r])
@@ -132,12 +141,31 @@ def test_the_layout_is_each_m1_before_the_tails_of_the_rest(bound):
         assert tails[w] == tuple(e[1:] for e in grade if not e or not e[0])
 
 
+def test_a_tail_code_does_not_depend_on_the_bound():
+    codes = [_tail_codes(bound) for bound in range(31)]
+    assert all(codes[b] == codes[B][: b + 1] for B in range(31) for b in range(B))
+
+
+def test_tail_codes_are_distinct_and_below_two_to_the_weight():
+    codes = _tail_codes(30)
+    flat = [c for cs in codes for c in cs]
+    assert len(set(flat)) == len(flat) == sum(map(len, _graded_tails(30)[0]))
+    # t_n's code p(n) is below 2^n, so only the empty tail's code reaches 2^(its weight)
+    assert codes[0] == (1,) and all(c < 2**r for r in range(1, 31) for c in codes[r])
+
+
+def test_t_n_is_coded_by_the_n_minus_1_th_prime():
+    _primes.cache_clear()  # every prime found anew, with no recursion
+    primes = primes_below(40_000)
+    assert TruncatedSeries.variable(3000, 3000)._tails == {3000: {primes[2998]: 1}}
+    assert [_primes(k) for k in range(13)] == [tuple(primes[: 1 << k]) for k in range(13)]
+
+
 def test_series_addition_and_subtraction():
     a = TruncatedSeries(2, {V.zero(): 1, V((1,)): 2})
     b = TruncatedSeries(2, {V((1,)): 3, V((0, 1)): 1})
     assert a + b == TruncatedSeries(2, {V.zero(): 1, V((1,)): 5, V((0, 1)): 1})
-    assert (a + b) - b == a
-    assert a - a == TruncatedSeries.zero(2)
+    assert (a + b) + negated(b) == a
 
 
 def test_series_hand_expansions():
@@ -146,7 +174,7 @@ def test_series_hand_expansions():
     assert sq == TruncatedSeries(2, {V.zero(): 1, V((1,)): 2, V((2,)): 1})
 
     t2 = TruncatedSeries.variable(2, bound=3)
-    assert t2 * t2 == TruncatedSeries.zero(3)  # weight 4 truncated away
+    assert t2 * t2 == TruncatedSeries(3)  # weight 4 truncated away
 
     s = TruncatedSeries(2, {V.zero(): 1, V((1,)): 1, V((0, 1)): 1})
     assert s * s == TruncatedSeries(
@@ -166,7 +194,7 @@ def test_bound_mismatch_is_an_error():
 
 
 @pytest.mark.parametrize("operand", [5, None, {V.zero(): 1}])
-@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, _coefficient_rows])
+@pytest.mark.parametrize("op", [operator.add, operator.mul, _coefficient_rows])
 def test_an_operand_that_is_not_a_series_is_a_type_error(op, operand):
     with pytest.raises(TypeError, match="^operand must be a TruncatedSeries, got "):
         op(TruncatedSeries.one(3), operand)
@@ -267,18 +295,19 @@ def terms_of(series: TruncatedSeries) -> dict:
 )
 def test_arithmetic_matches_the_monomial_dict_oracle(args):
     # c cancels a chosen part of a, so sums and products of mixed signs reach 0; products of
-    # products and series of unlike slot widths and radixes meet in every operation
+    # products and series of unlike slot widths meet in every operation
     bound, a, b, cancelled, cut = args
     c = {e: -v for i, (e, v) in enumerate(a.items()) if i in cancelled}
     sa, sb, sc = (TruncatedSeries(bound, {V(e): v for e, v in t.items()}) for t in (a, b, c))
+    sn = TruncatedSeries(bound, {V(e): -v for e, v in b.items()})  # -b: no series subtracts
     ac = monomial_sum(a, c)
     assert terms_of(sa + sb) == monomial_sum(a, b)
-    assert terms_of(sa - sb) == monomial_sum(a, b, -1)
+    assert terms_of(sa + sn) == monomial_sum(a, b, -1)
     assert terms_of(sa + sc) == ac
     assert terms_of(sa * sb) == monomial_product(a, b, bound)
     assert terms_of((sa + sc) * sb) == monomial_product(ac, b, bound)
-    assert terms_of(sa * sb - sb * sa) == {}
-    assert terms_of((sa * sb) * (sa - sb)) == monomial_product(
+    assert terms_of(sa * sb + sn * sa) == {}
+    assert terms_of((sa * sb) * (sa + sn)) == monomial_product(
         monomial_product(a, b, bound), monomial_sum(a, b, -1), bound
     )
     low = min(cut, bound)
@@ -313,7 +342,7 @@ def test_arithmetic_builds_no_type_vector(monkeypatch):
         init(self, entries)
 
     monkeypatch.setattr(TypeVector, "__init__", counting)
-    a + b, a - b, a * b, a.with_bound(2)
+    a + b, a * b, a.with_bound(2), a.with_bound(6)
     assert built == []
     a.items()  # the API boundary does build them, so the counter is live
     assert len(built) == len(a)
@@ -332,10 +361,10 @@ def test_mismatches_hash_and_len(pair):
     rows = _coefficient_rows(a, b)
     assert [(V(e), x, y) for e, x, y in rows if x != y] == mismatches_oracle(a, b)
     assert hash(a * b) == hash(b * a)
-    assert hash((a + b) - b) == hash(a)
-    for cancelled in (a - b, (a + b) - a):
+    assert hash((a + b) + negated(b)) == hash(a)
+    for cancelled in (a + negated(b), (a + b) + negated(a)):
         assert len(cancelled) == len(cancelled.items())
-    assert len((a + b) - a) == len(b)
+    assert len((a + b) + negated(a)) == len(b)
 
 
 def test_with_bound_drops_monomials_above_it():
