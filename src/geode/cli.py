@@ -3,7 +3,9 @@
 Exit status: 0 if everything passed, 1 on a verification mismatch, 2 on a
 usage error, 3 on an internal error, 141 when stdout's reader has gone
 (128 + SIGPIPE, as a shell reports a command killed by a closed pipe).
-A closed stderr costs its message, never the status.
+A closed stderr costs its message, never the status.  ``geode`` and ``python -m geode.cli``
+end once main has flushed stdout, with no interpreter teardown, so exit handlers registered
+by others (a site hook, a coverage tool) do not run; main() called in-process is unchanged.
 Table output is deterministic byte-for-byte for fixed flags, and each
 command writes its stdout in one piece.
 """
@@ -15,7 +17,7 @@ import contextlib
 import os
 import sys
 from importlib import import_module
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NoReturn, Sequence, TextIO
 
 DEFAULT_MAX_WEIGHT = 8
 DEFAULT_MAX_ENUM_WEIGHT = 10
@@ -52,19 +54,28 @@ def main(argv: Sequence[str] | None = None) -> int:
             if value < 0:
                 raise _UsageError(f"--{dest.replace('_', '-')} must be nonnegative, got {value}")
         code = args.handler(args)
-        sys.stdout.flush()  # a buffered stdout meets a closed pipe here, not at exit
-        return code
     except _UsageError as exc:
         _warn(f"error: {exc}\n")
-        return 2
+        code = 2
     except BrokenPipeError:
         _to_devnull(sys.stdout)
-        return 141
+        code = 141
     except Exception as exc:
         # keep the traceback, but never let a crash exit 1 like a mismatch
         import traceback
         _warn(traceback.format_exc() + f"internal error: {type(exc).__name__}: {exc}\n")
-        return 3
+        code = 3
+    try:
+        sys.stdout.flush()  # every path: a buffered stdout meets a closed pipe here, not at exit
+    except BrokenPipeError:
+        _to_devnull(sys.stdout)
+        code = code if code in (2, 3) else 141  # an error keeps its status; a lost result is 141
+    return code
+
+
+def run() -> NoReturn:
+    """`geode` and `python -m geode.cli`: end the process once main has flushed stdout."""
+    os._exit(main())  # argparse's SystemExit (help, usage errors) still exits the usual way
 
 
 def _warn(text: str) -> None:
@@ -301,4 +312,4 @@ def _write_lines(lines: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -331,7 +331,11 @@ class TruncatedSeries(_Value):
 
     def coefficient(self, monomial: TypeVector) -> int:
         _require_type(monomial)
-        return dict(self._terms()).get(monomial.entries, 0)
+        if monomial.edge_weight > self.bound:
+            return 0
+        m_1, *tail = monomial.entries or (0,)  # one column, unpacked up to slot m_1
+        column = self._tails.get(monomial.edge_weight - m_1, {}).get(_code(tail), 0)
+        return _unpack(column, self._width, m_1 + 1)[m_1]
 
     def _terms(self) -> list[tuple[tuple[int, ...], int]]:
         """(entries, coefficient) of every nonzero term, in graded order."""

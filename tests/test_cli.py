@@ -703,6 +703,78 @@ def test_a_closed_pipe_in_a_fresh_child_keeps_the_exit_status(argv, closed, code
     assert run_with_a_closed_reader(argv.split(), closed) == (code, b"")
 
 
+# Patches run in a fresh child before geode.cli runs as __main__: the counted column's values
+# format as themselves, but comparing one is an internal error; or each count is one too high.
+UNCOMPARABLE_COUNTS = """
+import geode.trees
+
+class Uncomparable(int):
+    def __eq__(self, other):
+        raise RuntimeError("compared")
+
+    __hash__ = int.__hash__
+
+count = geode.trees.count_marked_trees
+geode.trees.count_marked_trees = lambda m: Uncomparable(count(m))
+"""
+OFF_BY_ONE_COUNTS = """
+import geode.trees
+
+count = geode.trees.count_marked_trees
+geode.trees.count_marked_trees = lambda m: count(m) + 1
+"""
+COUNTED_G3 = ["g-table", "--max-weight", "3", "--with-counts"]
+
+
+def run_buffered_child(argv, patch="", stdout=subprocess.PIPE):
+    """Run ``patch``, then geode.cli as __main__ on argv, in a fresh child whose stdout is
+    buffered (PYTHONUNBUFFERED dropped); return its status, stdout and stderr."""
+    src = str(Path(geode.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    code = patch + "\nimport runpy\nrunpy.run_module('geode.cli', run_name='__main__')\n"
+    child = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**env, "PYTHONPATH": src},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        timeout=60,
+    )
+    return child.returncode, child.stdout, child.stderr
+
+
+def test_a_crash_after_the_table_keeps_the_table_in_a_fresh_child(capsys):
+    _, table, _ = run(capsys, *COUNTED_G3)
+    code, out, err = run_buffered_child(COUNTED_G3, UNCOMPARABLE_COUNTS)
+    assert (code, out.decode()) == (3, table)
+    assert err.decode().endswith("internal error: RuntimeError: compared\n")
+
+
+def test_a_crash_with_a_closed_reader_exits_3_in_a_fresh_child():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        code, _, err = run_buffered_child(COUNTED_G3, UNCOMPARABLE_COUNTS, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert code == 3
+    assert err.decode().endswith("internal error: RuntimeError: compared\n")
+    assert "BrokenPipeError" not in err.decode()
+
+
+def test_a_mismatch_keeps_its_table_and_its_line_in_a_fresh_child(capsys, monkeypatch):
+    count = geode.trees.count_marked_trees
+    monkeypatch.setattr(geode.trees, "count_marked_trees", lambda m: count(m) + 1)
+    _, table, line = run(capsys, *COUNTED_G3)
+    code, out, err = run_buffered_child(COUNTED_G3, OFF_BY_ONE_COUNTS)
+    assert (code, out.decode(), err.decode()) == (1, table, line)
+    assert line.startswith("count mismatch at monomials: [], [1], ")
+
+
+def test_a_piped_table_has_the_bytes_of_main(capsys):
+    argv = ["s-table", "--max-weight", "24"]
+    assert run_buffered_child(argv) == (0, run(capsys, *argv)[1].encode(), b"")
+
+
 def test_closed_stderr_keeps_the_mismatch_status(capsys, monkeypatch):
     count = geode.trees.count_marked_trees
     monkeypatch.setattr(geode.trees, "count_marked_trees", lambda m: count(m) + 1)

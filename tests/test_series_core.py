@@ -13,8 +13,11 @@ from geode import (
     TruncatedSeries,
     TypeVector,
     enumerate_types,
+    geode_series,
+    hyper_catalan_series,
     sum_of_variables,
 )
+from geode import series as series_module
 from geode.series import (
     _coefficient_rows, _graded_layout, _graded_tails, _primes, _tail_codes,
 )
@@ -283,7 +286,37 @@ def huge_terms(bound: int):
 
 
 def terms_of(series: TruncatedSeries) -> dict:
-    return {m.entries: c for m, c in series.items()}
+    """The nonzero terms by entries, once ``coefficient`` has read each of them, and a zero
+    at every other type up to two above the bound."""
+    terms = {m.entries: c for m, c in series.items()}
+    for m in enumerate_types(series.bound + 2):
+        assert series.coefficient(m) == terms.get(m.entries, 0), m
+    return terms
+
+
+NEGATIVE = TruncatedSeries(
+    6, {V(()): -(2**100), V((1,)): -1, V((0, 1)): 2**100 - 1, V((2, 0, 0, 1)): -7, V((6,)): -2}
+)
+
+
+@pytest.mark.parametrize(
+    "series",
+    [hyper_catalan_series(12), geode_series(12), NEGATIVE, NEGATIVE * NEGATIVE],
+    ids=["S", "G", "negative", "negative-squared"],
+)
+def test_coefficient_reads_the_items(series):
+    assert len(terms_of(series)) == len(series)
+
+
+def test_coefficient_unpacks_one_column(monkeypatch):
+    # the column of the monomial's tail, not the whole table
+    calls, unpack = [], series_module._unpack
+    monkeypatch.setattr(series_module, "_unpack", lambda *a: calls.append(a) or unpack(*a))
+    g = geode_series(12)
+    for m in enumerate_types(12):
+        calls.clear()
+        assert g.coefficient(m) >= 1
+        assert len(calls) == 1
 
 
 @given(
