@@ -8,16 +8,23 @@ end once main has flushed stdout, with no interpreter teardown, so exit handlers
 by others (a site hook, a coverage tool) do not run; main() called in-process is unchanged.
 Table output is deterministic byte-for-byte for fixed flags, and each
 command writes its stdout in one piece.
+
+Each command and its flags are declared once, in _COMMANDS.  _read takes a well-formed command
+line from that table without argparse; help, abbreviations, '=' forms, '--' and usage errors
+go through argparse, built from the same table by _build_parser.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import sys
 from importlib import import_module
-from typing import Iterable, NoReturn, Sequence, TextIO
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable, NoReturn, Sequence, TextIO
+
+if TYPE_CHECKING:
+    import argparse
 
 DEFAULT_MAX_WEIGHT = 8
 DEFAULT_MAX_ENUM_WEIGHT = 10
@@ -48,7 +55,9 @@ class _UsageError(Exception):
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _read(sys.argv[1:] if argv is None else argv)
+        if args is None:  # help, abbreviations, '=' forms and usage errors: argparse's own words
+            args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
         for dest in ("max_enum_weight", "max_weight"):  # each bound the command has
             value = getattr(args, dest, 0)
             if value < 0:
@@ -93,105 +102,7 @@ def _to_devnull(stream: TextIO) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
-class _Parser(argparse.ArgumentParser):
-    def _print_message(self, message: str, file: TextIO | None = None) -> None:
-        # argparse drops a failed write and exits 0 or 2 regardless: here --help's
-        # closed stdout reaches main, and usage errors go through _warn
-        if file is sys.stdout:
-            file.write(message)
-            file.flush()
-        else:
-            _warn(message)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="geode",
-        description="Exact hyper-Catalan and Geode coefficient tables, "
-        "enumerations, and identity verifications.",
-    )
-    sub = parser.add_subparsers(required=True, metavar="command")
-
-    p = sub.add_parser("s-table", help="hyper-Catalan coefficient table")
-    _add_common_flags(p)
-    p.add_argument(
-        "--no-bigons",
-        action="store_true",
-        help="restrict to monomials without t_1 (no bigon faces / unary nodes)",
-    )
-    p.set_defaults(handler=_cmd_s_table)
-
-    p = sub.add_parser("g-table", help="Geode coefficient table")
-    _add_common_flags(p)
-    _add_bound(
-        p, "--max-enum-weight", DEFAULT_MAX_ENUM_WEIGHT, "refuse exhaustive enumeration above"
-    )
-    p.add_argument(
-        "--with-counts",
-        action="store_true",
-        help="add independently computed marked-tree and marked-subdigon "
-        "columns (exhaustive; gated by --max-enum-weight)",
-    )
-    p.set_defaults(handler=_cmd_g_table)
-
-    p = sub.add_parser("trees", help="list the ordered trees of one type")
-    p.add_argument(
-        "--type",
-        dest="type_text",
-        required=True,
-        metavar="VECTOR",
-        help='comma-separated type vector, e.g. "0,2"; empty string for the '
-        "single-node tree",
-    )
-    p.add_argument(
-        "--marked",
-        action="store_true",
-        help="list marked trees instead, rendering the marked leaf as *",
-    )
-    _add_bound(p, "--max-enum-weight", DEFAULT_MAX_ENUM_WEIGHT, "refuse enumeration above")
-    p.set_defaults(handler=_cmd_trees)
-
-    p = sub.add_parser("verify", help="machine-verify the series identities")
-    _add_bound(p, "--max-weight", DEFAULT_MAX_WEIGHT, "verify monomials up to")
-    p.add_argument(
-        "--checks",
-        default="all",
-        metavar="LIST",
-        help=f"comma-separated subset of {{{','.join(_CHECKS)}}}, or 'all' (default) "
-        + _all_text(),
-    )
-    p.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default %(default)s)",
-    )
-    _add_bound(
-        p, "--max-enum-weight", DEFAULT_MAX_ENUM_WEIGHT, "refuse enumeration-backed checks above"
-    )
-    p.set_defaults(handler=_cmd_verify)
-
-    return parser
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    _add_bound(p, "--max-weight", DEFAULT_MAX_WEIGHT, "include monomials up to")
-    p.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default="csv",
-        help="output format (default %(default)s)",
-    )
-
-
-def _add_bound(p: argparse.ArgumentParser, flag: str, default: int, what: str) -> None:
-    p.add_argument(
-        flag, type=int, default=default, metavar="N",
-        help=what + " this edge weight (default %(default)s)",
-    )
-
-
-def _cmd_s_table(args: argparse.Namespace) -> int:
+def _cmd_s_table(args: SimpleNamespace) -> int:
     from .hypercatalan import _hyper_catalan_tails
     from .series import _blocks
 
@@ -202,7 +113,7 @@ def _cmd_s_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_g_table(args: argparse.Namespace) -> int:
+def _cmd_g_table(args: SimpleNamespace) -> int:
     from .factorization import _counted, _solve
     from .series import _blocks
 
@@ -227,7 +138,7 @@ def _cmd_g_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trees(args: argparse.Namespace) -> int:
+def _cmd_trees(args: SimpleNamespace) -> int:
     from .series import TypeVector
     from .trees import _mark_text, count_initial_leaves, enumerate_trees
 
@@ -248,7 +159,7 @@ def _cmd_trees(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     every = [name for name, (*_, in_all) in _CHECKS.items() if in_all]
     named = (c.strip() for c in args.checks.split(","))
     # each 'all' stands for its checks; each check runs once, in the order it is first named
@@ -275,7 +186,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _refuse_enumeration(args: argparse.Namespace, weight: int, what: str) -> None:
+def _refuse_enumeration(args: SimpleNamespace, weight: int, what: str) -> None:
     """The one --max-enum-weight gate: no exhaustive enumeration above the limit."""
     limit = args.max_enum_weight
     if weight > limit:
@@ -309,6 +220,117 @@ def _emit_table(bound: int, blocks: Iterable[tuple], columns: list[str], fmt: st
 def _write_lines(lines: list[str]) -> None:
     # one write, where a print per line costs system calls per line on an unbuffered stdout
     sys.stdout.write("".join([line + "\n" for line in lines]))
+
+
+def _bound(dest: str, default: int, what: str) -> tuple:
+    return dest, int, default, what + " this edge weight (default %(default)s)", "N"
+
+
+# Each command: name -> (help, handler, flags); each flag: spelling -> (dest, kind, default, help,
+# metavar).  A kind is int for a bound, a tuple of the choices, str for free text (required
+# where its default is None) or bool for a switch, which takes no value.
+_TABLE_FLAGS = {
+    "--max-weight": _bound("max_weight", DEFAULT_MAX_WEIGHT, "include monomials up to"),
+    "--format": ("format", ("csv", "json"), "csv", "output format (default %(default)s)", None),
+}
+_COMMANDS = {
+    "s-table": ("hyper-Catalan coefficient table", _cmd_s_table, {
+        **_TABLE_FLAGS,
+        "--no-bigons": ("no_bigons", bool, False,
+                        "restrict to monomials without t_1 (no bigon faces / unary nodes)", None),
+    }),
+    "g-table": ("Geode coefficient table", _cmd_g_table, {
+        **_TABLE_FLAGS,
+        "--max-enum-weight": _bound(
+            "max_enum_weight", DEFAULT_MAX_ENUM_WEIGHT, "refuse exhaustive enumeration above"),
+        "--with-counts": ("with_counts", bool, False,
+                          "add independently computed marked-tree and marked-subdigon "
+                          "columns (exhaustive; gated by --max-enum-weight)", None),
+    }),
+    "trees": ("list the ordered trees of one type", _cmd_trees, {
+        "--type": ("type_text", str, None, 'comma-separated type vector, e.g. "0,2"; empty '
+                   "string for the single-node tree", "VECTOR"),
+        "--marked": ("marked", bool, False,
+                     "list marked trees instead, rendering the marked leaf as *", None),
+        "--max-enum-weight": _bound(
+            "max_enum_weight", DEFAULT_MAX_ENUM_WEIGHT, "refuse enumeration above"),
+    }),
+    "verify": ("machine-verify the series identities", _cmd_verify, {
+        "--max-weight": _bound("max_weight", DEFAULT_MAX_WEIGHT, "verify monomials up to"),
+        "--checks": ("checks", str, "all", f"comma-separated subset of {{{','.join(_CHECKS)}}}, "
+                     "or 'all' (default) " + _all_text(), "LIST"),
+        "--format": ("format", ("text", "json"), "text", "report format (default %(default)s)",
+                     None),
+        "--max-enum-weight": _bound(
+            "max_enum_weight", DEFAULT_MAX_ENUM_WEIGHT, "refuse enumeration-backed checks above"),
+    }),
+}
+
+
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for argv, read from _COMMANDS alone; None for
+    anything else: help, abbreviations, '=' forms, '--', a value that starts with '-', a bound
+    that is not plain ASCII digits, and every usage error.  Then argparse reads argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, flags = _COMMANDS[argv[0]]
+    values = {dest: default for dest, _, default, *_ in flags.values()}
+    words = iter(argv[1:])
+    for word in words:
+        if word not in flags:
+            return None
+        dest, kind, *_ = flags[word]
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(words, "-")  # a missing value reads as a flag
+        if value.startswith("-") or isinstance(kind, tuple) and value not in kind:
+            return None
+        if kind is int:
+            if not (value.isascii() and value.isdigit()):  # argparse's int() also takes "+3"
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than int() converts: argparse's "invalid int value"
+                return None
+        values[dest] = value
+    if None in values.values():  # a required flag is missing
+        return None
+    return SimpleNamespace(**values, handler=handler)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # loaded only for a command line that _read leaves to it
+
+    class Parser(argparse.ArgumentParser):
+        def _print_message(self, message: str, file: TextIO | None = None) -> None:
+            # argparse drops a failed write and exits 0 or 2 regardless: here --help's
+            # closed stdout reaches main, and usage errors go through _warn
+            if file is sys.stdout:
+                file.write(message)
+                file.flush()
+            else:
+                _warn(message)
+
+    parser = Parser(
+        prog="geode",
+        description="Exact hyper-Catalan and Geode coefficient tables, "
+        "enumerations, and identity verifications.",
+    )
+    sub = parser.add_subparsers(required=True, metavar="command")
+    for name, (text, handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, (dest, kind, default, text, metavar) in flags.items():
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=text)
+                continue
+            p.add_argument(
+                flag, dest=dest, type=kind if kind is int else None, default=default,
+                choices=kind if isinstance(kind, tuple) else None, required=default is None,
+                metavar=metavar, help=text,
+            )
+        p.set_defaults(handler=handler)
+    return parser
 
 
 if __name__ == "__main__":

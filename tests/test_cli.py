@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geode
 import geode.subdigons
@@ -25,7 +28,7 @@ from geode import (
 )
 from geode.cli import main
 from geode.reports import json_report
-from geode.series import _graded_layout
+from geode.series import TypeVector, _graded_layout
 from oracles import enumerate_marked_trees
 
 
@@ -402,24 +405,99 @@ def test_verify_gates_enumeration_checks(capsys):
     assert code == 0
 
 
-def test_bad_flags_exit_2(capsys):
-    for argv in [
-        ["s-table", "--bogus"],
-        ["s-table", "--max-weight", "notanint"],
-        ["s-table", "--max-enum-weight", "3"],  # s-table enumerates nothing
-    ]:
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-    for argv in [
-        ("s-table", "--max-weight", "-1"),
-        ("trees", "--type", "1", "--max-enum-weight", "-1"),
-        ("g-table", "--max-enum-weight", "-1"),
-        ("verify", "--max-enum-weight", "-1"),
-    ]:
-        code, _, err = run(capsys, *argv)
-        assert code == 2
-        assert "nonnegative" in err
+def exit_status(argv):
+    """main's status, or argparse's where it exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+BIG = "7" * 4301  # one digit more than int() converts by default
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("s-table --bogus", "unrecognized arguments: --bogus"),
+        ("s-table --max-weight notanint", "argument --max-weight: invalid int value"),
+        ("s-table --max-enum-weight 3", "unrecognized arguments"),  # s-table enumerates nothing
+        # too many digits for int(): argparse's message and status, never an internal error
+        ("s-table --max-weight BIG", "argument --max-weight: invalid int value"),
+        ("verify --max-weight BIG", "argument --max-weight: invalid int value"),
+        ("g-table --max-enum-weight BIG", "argument --max-enum-weight: invalid int value"),
+        ("trees --type 1 --max-enum-weight BIG", "argument --max-enum-weight: invalid int value"),
+        ("s-table --max-weight -1", "error: --max-weight must be nonnegative, got -1"),
+        ("trees --type 1 --max-enum-weight -1", "must be nonnegative"),
+        ("g-table --max-enum-weight -1", "must be nonnegative"),
+        ("verify --max-enum-weight -1", "must be nonnegative"),
+    ],
+)
+def test_bad_flags_exit_2(capsys, argv, message):
+    assert exit_status([BIG if word == "BIG" else word for word in argv.split()]) == 2
+    assert message in capsys.readouterr().err
+
+
+FLAGS = sorted({flag for _, _, flags in cli._COMMANDS.values() for flag in flags})
+VALUES = ["3", "007", "", "-1", "+3", " 3", "1_0", "\u0663", "xml", "json", "all", "--type", BIG]
+TOKENS = [*cli._COMMANDS, *FLAGS, "--max-w", "--format=json", "-h", "--", *VALUES]
+
+
+def command_lines(command):
+    """A command, then flags of that command with a value each, and now and then any token."""
+    flags = list(cli._COMMANDS[command][2])
+    word = st.one_of(
+        st.tuples(st.sampled_from(flags), st.sampled_from(VALUES)),
+        st.sampled_from(flags).map(lambda flag: (flag,)),
+        st.sampled_from(TOKENS).map(lambda token: (token,)),
+    )
+    return st.lists(word, max_size=5).map(lambda words: [command, *sum(words, ())])
+
+
+argvs = st.one_of(
+    st.sampled_from(list(cli._COMMANDS)).flatmap(command_lines),
+    st.lists(st.sampled_from(TOKENS), max_size=4),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(argvs)
+def test_the_reader_returns_argparse_namespace_or_none(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed = vars(cli._build_parser().parse_args(argv))
+        except SystemExit:  # help or a usage error: only argparse may answer
+            parsed = None
+    read = cli._read(argv)
+    assert read is None or vars(read) == parsed
+
+
+vector_texts = st.lists(
+    st.one_of(st.text("0123456789, -+_x\u0663\n", max_size=12), st.just("1" * 5000)),
+    min_size=1,
+    max_size=3,
+).map(",".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_texts)
+def test_a_malformed_type_vector_is_a_usage_error(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = exit_status(["trees", "--type", text, "--max-enum-weight", "6"])
+    try:
+        weight = TypeVector.parse(text).edge_weight
+    except ValueError:
+        weight = None
+    if weight is not None:
+        assert code == (0 if weight <= 6 else 2)
+        assert code == 0 or "refusing above edge weight 6" in err.getvalue()
+    elif text.startswith("-") and err.getvalue().endswith("--type: expected one argument\n"):
+        assert code == 2  # argparse reads a text such as "-1,2" as a flag, so --type lacks it
+    else:
+        assert (code, out.getvalue()) == (2, "")
+        assert "not a comma-separated integer vector" in err.getvalue()
 
 
 def fresh_child(code, *args):
@@ -469,9 +547,11 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert geode.cli.main(sys.argv[1:]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'geode'))\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
     )
     want = sorted(["geode", "geode.cli"] + [f"geode.{m}" for m in modules])
-    assert fresh_child(code, *argv.split()) == f"{want}\n"
+    # a well-formed command line is read from the flag table, without argparse
+    assert fresh_child(code, *argv.split()) == f"{want}\n[]\n"
 
 
 PUBLIC_NAMES = [
