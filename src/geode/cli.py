@@ -114,8 +114,8 @@ def _cmd_s_table(args: SimpleNamespace) -> int:
 
 
 def _cmd_g_table(args: SimpleNamespace) -> int:
-    from .factorization import _counted, _solve
-    from .series import _blocks
+    from .factorization import _count_table, _solve
+    from .series import _blocks, _rows
 
     bound, columns = args.max_weight, ["monomial", "coefficient"]
     if not args.with_counts:
@@ -126,12 +126,11 @@ def _cmd_g_table(args: SimpleNamespace) -> int:
     from .subdigons import count_marked_subdigons
     from .trees import count_marked_trees
 
-    counted = _counted(bound, (count_marked_trees, count_marked_subdigons))
-    # graded columns as iterators: a block maps over its tail texts first, so draws its own rows
-    values = [iter(column) for column in list(zip(*counted))[1:]]
-    blocks = ((w, r, *values) for w in range(bound + 1) for r in range(w + 1))
-    _emit_table(bound, blocks, columns + ["marked_trees", "marked_subdigons"], args.format)
-    bad = [f"[{m.text}]" for m, g, mt, ms in counted if not g == mt == ms]
+    counts = count_marked_trees, count_marked_subdigons
+    tables = [_solve(bound), *(_count_table(bound, count) for count in counts)]
+    columns += ["marked_trees", "marked_subdigons"]
+    _emit_table(bound, _blocks(*tables), columns, args.format)
+    bad = [f"[{','.join(map(str, k))}]" for k, g, mt, ms in _rows(*tables) if not g == mt == ms]
     if bad:
         _warn("count mismatch at monomials: " + ", ".join(bad) + "\n")
         return 1
@@ -207,7 +206,7 @@ def _emit_table(bound: int, blocks: Iterable[tuple], columns: list[str], fmt: st
     else:
         cells = ",{}" * (len(columns) - 1) + "\n"
         plain, quoted = "%s{}" + cells, '"%s{}"' + cells
-    texts, rows = _graded_tails(bound)[1], []
+    texts, rows = _graded_tails(bound)[2], []
     for w, r, *values in blocks:
         rows += map(((quoted if r else plain) % (w - r if w else "")).format, texts[r], *values)
     body = "".join(rows)

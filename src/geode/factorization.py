@@ -27,13 +27,13 @@ numbers from the classical convolution recurrence, not the hyper-Catalan formula
 from __future__ import annotations
 
 from operator import sub
-from typing import Callable, Sequence
+from typing import Callable
 
 from .hypercatalan import _hyper_catalan_tails, hyper_catalan_series
 from .reports import VerificationReport, compare
 from .series import (
-    TruncatedSeries, TypeVector, _blocks, _coefficient_rows, _graded, _graded_layout,
-    _graded_tails, _trimmed, sum_of_variables,
+    TruncatedSeries, TypeVector, _blocks, _coefficient_rows, _graded_tails, _primes, _rows,
+    sum_of_variables,
 )
 
 
@@ -51,25 +51,21 @@ def geode_series(bound: int) -> TruncatedSeries:
     return TruncatedSeries._packed(bound, _solve(bound))
 
 
-def _geode_coefficients(bound: int) -> dict[tuple[int, ...], int]:
-    """G(k) keyed by the entry tuple of k, for every k of weight <= bound, in graded order."""
-    return dict(zip(_graded_layout(bound), _graded(_solve(bound))))
-
-
 def _solve(bound: int) -> list[list[list[int]]]:
     """G((j, *t)) for j = 0, ..., bound - r, one list per tail t of weight r, by weight: the
     recurrence as a list operation over m_1, G_t = C((j + 1, *t)) less G_(t - e_n)[1:] for each
-    n >= 2 with t_n >= 1, every such tail lighter than t and so already solved."""
-    tails, solved = _graded_tails(bound)[0], {}  # tail -> its G values over m_1
-    for ts, targets in zip(tails, _hyper_catalan_tails(bound, 1)):
-        for t, g in zip(ts, targets):
-            for i, m in enumerate(t):
-                if m:  # G_(t - e_(i + 2))
-                    g = map(sub, g, solved[_trimmed(t[:i] + (m - 1,) + t[i + 1:])][1:])
-            solved[t] = list(g)
-    table = [[solved[t] for t in ts] for ts in tails]
+    n >= 2 with t_n >= 1, every such tail lighter than t, so solved, and coded code(t) / p(n)."""
+    tails, codes, _ = _graded_tails(bound)
+    primes, solved = _primes(bound.bit_length()), {}  # code -> its tail's G values over m_1
+    for ts, cs, targets in zip(tails, codes, _hyper_catalan_tails(bound, 1)):
+        for t, c, g in zip(ts, cs, targets):
+            for p, m in zip(primes, t):  # p(n) and t_n for n = 2, 3, ...
+                if m:
+                    g = map(sub, g, solved[c // p][1:])
+            solved[c] = list(g)
+    table = [[solved[c] for c in cs] for cs in codes]
     if min(map(min, solved.values())) < 0:  # name the first negative value in graded order
-        k, value = next(kv for kv in zip(_graded_layout(bound), _graded(table)) if kv[1] < 0)
+        k, value = next(row for row in _rows(table) if row[1] < 0)
         raise NegativeGeodeCoefficientError(f"coefficient of t^[{TypeVector(k)}] came out {value}")
     return table
 
@@ -136,7 +132,7 @@ def verify_marked_trees(bound: int) -> VerificationReport:
     """
     from .trees import count_marked_trees  # loaded by this check alone
 
-    return _verify_counts("marked-trees", "marked-tree", count_marked_trees, bound)
+    return _verify_counts("marked-trees", count_marked_trees, bound)
 
 
 def verify_marked_subdigons(bound: int) -> VerificationReport:
@@ -148,22 +144,17 @@ def verify_marked_subdigons(bound: int) -> VerificationReport:
     """
     from .subdigons import count_marked_subdigons  # loaded by this check alone
 
-    return _verify_counts(
-        "marked-subdigons", "marked-subdigon", count_marked_subdigons, bound
-    )
+    return _verify_counts("marked-subdigons", count_marked_subdigons, bound)
 
 
-def _verify_counts(
-    name: str, label: str, count: Callable[[TypeVector], int], bound: int
-) -> VerificationReport:
-    rows = ((m.entries, g, c) for m, g, c in _counted(bound, (count,)))
-    return VerificationReport(name, bound, (compare(f"coefficients vs {label} counts", rows),))
+def _verify_counts(name: str, count: Callable[[TypeVector], int], bound: int) -> VerificationReport:
+    rows = _rows(_solve(bound), _count_table(bound, count))
+    return VerificationReport(name, bound, (compare(f"coefficients vs {name[:-1]} counts", rows),))
 
 
-def _counted(bound: int, counts: Sequence[Callable[[TypeVector], int]]) -> list[tuple]:
-    """(m, G(m), *[count(m) for count in counts]) for every type m up to the bound, graded."""
-    g = _geode_coefficients(bound)
+def _count_table(bound: int, count: Callable[[TypeVector], int]) -> list[list[list[int]]]:
+    """count((j, *t)) in the table shape of ``_solve(bound)``: one list over m_1 per tail."""
     return [
-        (m, value, *[count(m) for count in counts])
-        for m, value in zip(map(TypeVector, g), g.values())
+        [[count(TypeVector((j, *t))) for j in range(bound + 1 - r)] for t in ts]
+        for r, ts in enumerate(_graded_tails(bound)[0])
     ]

@@ -183,22 +183,26 @@ def _require_type(m: TypeVector) -> None:
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True or 2.0 misses, and the check below rejects it
-def _graded_tails(bound: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], tuple]:
-    """Two tables by weight r <= bound: every trimmed tail t = (m_2, m_3, ...) of weight r,
-    m_2 descending first, and the text ",m_2,m_3,..." of each, built in one loop from the
-    largest part down: each part n puts m_n before the tails of the rest, ",m_n" before theirs.
+def _graded_tails(bound: int) -> tuple[tuple[tuple, ...], ...]:
+    """Three tables by weight r <= bound: every trimmed tail t = (m_2, m_3, ...) of weight r,
+    m_2 descending first, its ``_code`` and its text ",m_2,m_3,...", built in one loop from the
+    largest part down: each part n puts m_n and ",m_n" before the rest's, p(n)^m_n times theirs.
     """
     _require_bound(bound)
-    tails, texts = [((),)] + [()] * bound, [("",)] + [()] * bound  # no part left: weight 0 only
-    marks = [f",{m}" for m in range(bound + 1)]
+    empty = ((),), (1,), ("",)  # the empty tail, its code and its text
+    tails, codes, texts = ([e] + [()] * bound for e in empty)  # no part left: weight 0 only
+    marks, primes = [f",{m}" for m in range(bound + 1)], _primes(bound.bit_length())
     for n in range(bound, 1, -1):
         # tails[0] stays the empty tail, so m_n = 0 leads only nonempty ones: all trimmed
-        shorter, shorter_texts, tails, texts = tails, texts, [((),)], [("",)]
+        shorter, shorter_codes, shorter_texts = tails, codes, texts
+        tails, codes, texts = ([e] for e in empty)
+        powers = [primes[n - 2] ** m for m in range(bound // n + 1)]
         for r in range(1, bound + 1):
             parts = range(r // n, -1, -1)
             tails.append(tuple((m, *t) for m in parts for t in shorter[r - m * n]))
+            codes.append(tuple(powers[m] * c for m in parts for c in shorter_codes[r - m * n]))
             texts.append(tuple(marks[m] + s for m in parts for s in shorter_texts[r - m * n]))
-    return tuple(tails), tuple(texts)
+    return tuple(tails), tuple(codes), tuple(texts)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -215,15 +219,17 @@ def _graded_layout(bound: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _blocks(table: list[list[list[int]]]) -> Iterator[tuple[int, int, Iterator[int]]]:
-    """(w, r, the values of (w - r, *t) for the tails t of weight r) for each r <= w, graded."""
-    blocks = ((w, r) for w in range(len(table)) for r in range(w + 1))
-    return ((w, r, map(itemgetter(w - r), table[r])) for w, r in blocks)
+def _blocks(*tables: list[list[list[int]]]) -> Iterator[tuple]:
+    """(w, r, then per table the values of (w - r, *t) for the tails t of weight r), graded."""
+    blocks = ((w, r) for w in range(len(tables[0])) for r in range(w + 1))
+    return ((w, r, *[map(itemgetter(w - r), table[r]) for table in tables]) for w, r in blocks)
 
 
-def _graded(table: list[list[list[int]]]) -> Iterator[int]:
-    """The values of a table of one list over m_1 per tail, tails by weight, in graded order."""
-    return chain.from_iterable(values for _, _, values in _blocks(table))
+def _rows(*tables: list[list[list[int]]]) -> Iterator[tuple]:
+    """(entries, then per table its value) of every vector up to the bound, graded, zeros
+    included: one row per comparison, and a table short of a tail or a slot raises."""
+    graded = [chain.from_iterable(v for _, _, v in _blocks(table)) for table in tables]
+    return zip(_graded_layout(len(tables[0]) - 1), *graded, strict=True)
 
 
 @lru_cache(maxsize=None)
@@ -243,10 +249,17 @@ def _code(tail: Sequence[int]) -> int:
     return prod(p**m for p, m in zip(_primes(len(tail).bit_length()), tail) if m)
 
 
-@lru_cache(maxsize=None)
-def _tail_codes(bound: int) -> tuple[tuple[int, ...], ...]:
-    """The code of each tail of ``_graded_tails(bound)``, by weight."""
-    return tuple(tuple(map(_code, ts)) for ts in _graded_tails(bound)[0])
+def _decoded(code: int, primes: Sequence[int]) -> tuple[int, ...]:
+    """The tail (m_2, m_3, ...) of the code 2^m_2 3^m_3 5^m_4 ..., by trial division."""
+    tail = []
+    for p in primes:
+        if code == 1:
+            break
+        tail.append(0)
+        while code % p == 0:
+            code //= p
+            tail[-1] += 1
+    return tuple(tail)
 
 
 def _unpack(column: int, width: int, length: int) -> list[int]:
@@ -317,7 +330,7 @@ class TruncatedSeries(_Value):
     @classmethod
     def _packed(cls, bound: int, table: list) -> TruncatedSeries:
         """A series from a table of one list over m_1 per tail of ``_graded_tails(bound)``."""
-        columns = enumerate(zip(_tail_codes(bound), table))
+        columns = enumerate(zip(_graded_tails(bound)[1], table))
         return _pack(bound, ((r, c, v) for r, (cs, vs) in columns for c, v in zip(cs, vs)))
 
     @classmethod
@@ -338,8 +351,16 @@ class TruncatedSeries(_Value):
         return _unpack(column, self._width, m_1 + 1)[m_1]
 
     def _terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """(entries, coefficient) of every nonzero term, in graded order."""
-        return [(e, v) for e, v in zip(_graded_layout(self.bound), _graded(self._table())) if v]
+        """(entries, coefficient) of every nonzero term, in graded order, from the stored
+        columns alone: grade by grade, the entries descending."""
+        grades, primes = [[] for _ in range(self.bound + 1)], _primes(self.bound.bit_length())
+        for r, group in self._tails.items():
+            for code, column in group.items():
+                tail = _decoded(code, primes)
+                for j, v in enumerate(_unpack(column, self._width, self.bound + 1 - r)):
+                    if v:
+                        grades[j + r].append((_trimmed((j, *tail)), v))
+        return [term for grade in grades for term in sorted(grade, reverse=True)]
 
     def items(self) -> list[tuple[TypeVector, int]]:
         """Nonzero (monomial, coefficient) pairs in graded order."""
@@ -360,7 +381,7 @@ class TruncatedSeries(_Value):
         width, bound = self._width, self.bound
         return [
             [_unpack(self._tails.get(r, {}).get(c, 0), width, bound + 1 - r) for c in codes]
-            for r, codes in enumerate(_tail_codes(bound))
+            for r, codes in enumerate(_graded_tails(bound)[1])
         ]
 
     def _in(self, bound: int, width: int) -> TruncatedSeries:
@@ -438,7 +459,7 @@ def _coefficient_rows(a: TruncatedSeries, b: TruncatedSeries) -> Iterator[tuple]
     """(entries, a-value, b-value) for every monomial up to the series' common bound, in
     graded order and zeros included: each row is one comparison."""
     a._checked(b)
-    return zip(_graded_layout(a.bound), _graded(a._table()), _graded(b._table()))
+    return _rows(a._table(), b._table())
 
 
 def _format_term(monomial: TypeVector, value: int) -> str:

@@ -115,7 +115,7 @@ def test_g_table_refuses_counts_before_building_g(capsys, monkeypatch):
         raise AssertionError("the Geode recurrence ran before the --with-counts gate")
 
     # the plain table and the counted rows both solve G through factorization's name
-    monkeypatch.setattr(factorization, "_geode_coefficients", unreachable)
+    monkeypatch.setattr(factorization, "_solve", unreachable)
     code, out, err = run(capsys, "g-table", "--max-weight", "34", "--with-counts")
     assert code == 2
     assert out == ""
@@ -123,14 +123,14 @@ def test_g_table_refuses_counts_before_building_g(capsys, monkeypatch):
 
 
 def test_a_corrupted_geode_reaches_every_counted_route(capsys, monkeypatch):
-    solve = factorization._geode_coefficients
+    solve = factorization._solve
 
     def corrupted(bound):
-        g = dict(solve(bound))
-        g[(1, 1)] += 1  # G(1,1) = 5 becomes 6
+        g = solve(bound)
+        g[2][0][1] += 1  # G(1,1) = 5 becomes 6: the tail (1) of weight 2, at m_1 = 1
         return g
 
-    monkeypatch.setattr(factorization, "_geode_coefficients", corrupted)
+    monkeypatch.setattr(factorization, "_solve", corrupted)
     for check in ("marked-trees", "marked-subdigons"):
         code, out, _ = run(capsys, "verify", "--checks", check, "--max-weight", "4")
         assert code == 1
@@ -140,7 +140,7 @@ def test_a_corrupted_geode_reaches_every_counted_route(capsys, monkeypatch):
     assert code == 1
     assert err == "count mismatch at monomials: [1,1]\n"
 
-    monkeypatch.setattr(factorization, "_geode_coefficients", solve)
+    monkeypatch.setattr(factorization, "_solve", solve)
     count = geode.subdigons.count_marked_subdigons
     monkeypatch.setattr(geode.subdigons, "count_marked_subdigons", lambda m: count(m) + 1)
     argv = ["verify", "--checks", "marked-trees,marked-subdigons", "--max-weight", "4"]
@@ -659,8 +659,7 @@ def test_s_table_reads_no_layout(capsys, monkeypatch, fmt):
     def unreachable(bound):
         raise AssertionError("a table read the layout")
 
-    for module in (geode.series, factorization):  # every module that binds the name
-        monkeypatch.setattr(module, "_graded_layout", unreachable)
+    monkeypatch.setattr(geode.series, "_graded_layout", unreachable)  # its one binding in src
     assert [run(capsys, *argv, "--max-weight", "8", "--format", fmt) for argv in argvs] == expected
     # the stub is live: the counted rows still key G by the layout's vectors
     assert run(capsys, "g-table", "--max-weight", "4", "--with-counts", "--format", fmt)[0] == 3

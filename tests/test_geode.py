@@ -20,9 +20,9 @@ from geode import (
     verify_marked_trees,
 )
 from geode import TruncatedSeries, cli, factorization, hyper_catalan_series
-from geode.factorization import _geode_coefficients, _solve
+from geode.factorization import _solve
 from geode.hypercatalan import _hyper_catalan_tails
-from geode.series import _graded_layout, _graded_tails
+from geode.series import _graded_layout, _graded_tails, _rows
 from oracles import (
     catalan_numbers, enumerate_marked_subdigons, enumerate_marked_trees, geode_by_entries
 )
@@ -119,7 +119,7 @@ def test_solution_is_independent_of_the_processing_order():
     ]
     graded = geode_by_entries(lifted_pairs(types))
     assert geode_by_entries(lifted_pairs(reordered)) == graded
-    assert _geode_coefficients(bound) == graded
+    assert dict(_rows(_solve(bound))) == graded
 
 
 def test_solution_matches_a_reordered_run_from_lifted_vectors_at_weight_14():

@@ -14,7 +14,7 @@ from geode import (
     verify_functional_equation,
 )
 from geode.hypercatalan import _hyper_catalan_tails
-from geode.series import _graded, _graded_layout, _graded_tails
+from geode.series import _graded_layout, _graded_tails, _rows
 from oracles import catalan_numbers, partition_counts
 
 V = TypeVector
@@ -46,13 +46,11 @@ def test_division_is_exact_up_to_weight_18():
 
 
 def test_graded_table_matches_the_single_monomial_formula_up_to_weight_20():
-    table, entries = list(_graded(_hyper_catalan_tails(20))), _graded_layout(20)
-    assert len(table) == len(entries)
-    assert table == [hyper_catalan(V(e)) for e in entries]
+    rows = list(_rows(_hyper_catalan_tails(20)))
+    assert rows == [(e, hyper_catalan(V(e))) for e in _graded_layout(20)]
     # a smaller bound is a prefix: the factorial table has no bound-dependent entry
     assert all(
-        list(_graded(_hyper_catalan_tails(b))) == table[: len(_graded_layout(b))]
-        for b in range(20)
+        list(_rows(_hyper_catalan_tails(b))) == rows[: len(_graded_layout(b))] for b in range(20)
     )
 
 

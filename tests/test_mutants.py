@@ -73,6 +73,11 @@ MUTANTS = {
         factorization, "_hyper_catalan_tails", _raised(-1, -1, -1),
         {"marked-trees", "marked-subdigons", "grade-sums"},
     ),
+    "the recurrence finds G_(t - m e_n), not G_(t - e_n)": (  # a code over p(n)^m_n, not p(n)
+        factorization, "_solve",
+        lambda real: _edited(real, "solved[c // p]", "solved[c // p**m]"),
+        {"factorization", "marked-trees", "marked-subdigons", "grade-sums"},
+    ),
     "first claw returns the next claw": (
         trees, "_first_claw", _next_claw, {"marked-trees", "bijections"},
     ),
@@ -120,5 +125,22 @@ def test_a_short_catalan_table_cannot_pass(capsys, monkeypatch):
     short = _edited(real, "range(1, bound + 2)", "range(1, bound + 1)")
     monkeypatch.setattr(factorization, "verify_grade_sums", short)
     code = cli.main(["verify", "--checks", "grade-sums", "--max-weight", "7"])
+    capsys.readouterr()
+    assert code != 0
+
+
+@pytest.mark.parametrize("short", ["tail", "slot"])
+def test_a_short_count_table_cannot_pass(capsys, monkeypatch, short):
+    # the last tail of the top weight, the last row in graded order, or the empty tail's top
+    # slot: the rows are read through zip(strict=True), so neither is a smaller PASS
+    real = factorization._count_table
+
+    def shortened(bound, count):
+        table = real(bound, count)
+        (table[-1] if short == "tail" else table[0][0]).pop()
+        return table
+
+    monkeypatch.setattr(factorization, "_count_table", shortened)
+    code = cli.main(["verify", "--checks", "marked-trees", "--max-weight", "6"])
     capsys.readouterr()
     assert code != 0

@@ -4,9 +4,10 @@ Every side of a check runs alone under ``sys.setprofile``, which records the
 ``module.qualname`` of each geode function it calls.  A side that reached
 into the other route would make its check compare a route with itself, so
 each side has a forbidden set; the plumbing every side may share is
-``series._graded_layout``, ``series._graded_tails``, ``series._trimmed``,
-the tail-table readers ``series._blocks`` and ``series._graded``,
-``TypeVector``, ``_Value`` with ``_restore``, and the report records.
+``series._graded_layout``, ``series._graded_tails``, ``series._primes``,
+``series._trimmed``, the tail-table readers ``series._blocks`` and
+``series._rows``, ``TypeVector``, ``_Value`` with ``_restore``, and the
+report records.
 Loosening a forbidden set is a change of spec.
 """
 
@@ -16,7 +17,7 @@ from unittest.mock import patch
 import pytest
 
 from geode import count_marked_subdigons, count_marked_trees, enumerate_types, hypercatalan
-from geode.factorization import _geode_coefficients
+from geode.factorization import _solve
 from geode.hypercatalan import _hyper_catalan_tails
 from geode.series import _graded_layout, _graded_tails
 from geode.subdigons import _enumerate_subdigons_cached, _slot_groups
@@ -52,7 +53,7 @@ SIDES = {
         ("factorization", *ENUMERATORS, "hypercatalan._hyper_catalan_tails"),
     ),
     "G": (
-        lambda: _geode_coefficients(BOUND),
+        lambda: _solve(BOUND),
         "factorization._solve",
         (*ENUMERATORS, MUL),
     ),

@@ -2,6 +2,7 @@ import ast
 import importlib
 import operator
 import sys
+import time
 from itertools import accumulate
 from pathlib import Path
 
@@ -18,9 +19,7 @@ from geode import (
     sum_of_variables,
 )
 from geode import series as series_module
-from geode.series import (
-    _coefficient_rows, _graded_layout, _graded_tails, _primes, _tail_codes,
-)
+from geode.series import _code, _coefficient_rows, _graded_layout, _graded_tails, _primes
 from oracles import monomial_cut, monomial_product, monomial_sum, partition_counts, primes_below
 
 V = TypeVector
@@ -132,7 +131,7 @@ def test_enumerate_types_grade_sizes_match_partitions():
 
 @pytest.mark.parametrize("bound", range(21))
 def test_the_layout_is_each_m1_before_the_tails_of_the_rest(bound):
-    (tails, texts), entries = _graded_tails(bound), _graded_layout(bound)
+    (tails, _, texts), entries = _graded_tails(bound), _graded_layout(bound)
     starts = [0, *accumulate(partition_counts(bound))]
     # each tail's text is its entries, a comma before each
     assert texts == tuple(tuple("".join(f",{e}" for e in t) for t in ts) for ts in tails)
@@ -145,12 +144,16 @@ def test_the_layout_is_each_m1_before_the_tails_of_the_rest(bound):
 
 
 def test_a_tail_code_does_not_depend_on_the_bound():
-    codes = [_tail_codes(bound) for bound in range(31)]
+    # the loop's codes are each tail's 2^m_2 3^m_3 5^m_4 ..., at every bound up to 30
+    for bound in range(31):
+        tails, codes, _ = _graded_tails(bound)
+        assert codes == tuple(tuple(map(_code, ts)) for ts in tails)
+    codes = [_graded_tails(bound)[1] for bound in range(31)]
     assert all(codes[b] == codes[B][: b + 1] for B in range(31) for b in range(B))
 
 
 def test_tail_codes_are_distinct_and_below_two_to_the_weight():
-    codes = _tail_codes(30)
+    codes = _graded_tails(30)[1]
     flat = [c for cs in codes for c in cs]
     assert len(set(flat)) == len(flat) == sum(map(len, _graded_tails(30)[0]))
     # t_n's code p(n) is below 2^n, so only the empty tail's code reaches 2^(its weight)
@@ -162,6 +165,22 @@ def test_t_n_is_coded_by_the_n_minus_1_th_prime():
     primes = primes_below(40_000)
     assert TruncatedSeries.variable(3000, 3000)._tails == {3000: {primes[2998]: 1}}
     assert [_primes(k) for k in range(13)] == [tuple(primes[: 1 << k]) for k in range(13)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3000])
+def test_a_series_is_read_from_its_stored_columns(n):
+    # ==, hash, len, items, str and repr cost the stored terms, not every monomial to the bound
+    start = time.perf_counter()
+    a, b = TruncatedSeries.variable(n, 3000), TruncatedSeries.variable(n, 3000)
+    assert a == b and hash(a) == hash(b) and len(a) == 1
+    assert a.items() == [(V.unit(n), 1)]
+    assert str(a) == f"t{n}" and repr(a) == f"<TruncatedSeries bound=3000: t{n}>"
+    grade_4 = {V((0, 2)): 6, V((2, 1)): 4, V((4,)): 7, V((1, 0, 1)): 8}
+    terms = {V.unit(3000): 5, V.unit(n): 2, V.zero(): 1, V((0, 1)): 3, **grade_4}
+    s = TruncatedSeries(3000, terms)
+    assert s.support() == sorted(terms, key=graded) and len(s) == len(terms)
+    assert s == TruncatedSeries(3000, dict(reversed(terms.items())))
+    assert time.perf_counter() - start < 1
 
 
 def test_series_addition_and_subtraction():
