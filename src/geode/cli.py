@@ -20,6 +20,7 @@ import contextlib
 import os
 import sys
 from importlib import import_module
+from itertools import starmap
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, NoReturn, Sequence, TextIO
 
@@ -207,8 +208,9 @@ def _emit_table(bound: int, blocks: Iterable[tuple], columns: list[str], fmt: st
         cells = ",{}" * (len(columns) - 1) + "\n"
         plain, quoted = "%s{}" + cells, '"%s{}"' + cells
     texts, rows = _graded_tails(bound)[2], []
-    for w, r, *values in blocks:
-        rows += map(((quoted if r else plain) % (w - r if w else "")).format, texts[r], *values)
+    for w, r, *values in blocks:  # strict: a column short of a tail raises before any write
+        form = ((quoted if r else plain) % (w - r if w else "")).format
+        rows += starmap(form, zip(texts[r], *values, strict=True))
     body = "".join(rows)
     if fmt == "json":
         sys.stdout.write(f"[{body[1:]}\n]\n" if body else "[]\n")  # less the first ","

@@ -82,6 +82,8 @@ class TypeVector(_Value):
     @classmethod
     def unit(cls, n: int) -> TypeVector:
         """The vector with a single 1 in position n (1-based)."""
+        if type(n) is not int:
+            raise TypeError(f"variable index must be an int, got {n!r}")
         if n < 1:
             raise ValueError(f"variable index must be >= 1, got {n}")
         return cls((0,) * (n - 1) + (1,))
@@ -306,7 +308,7 @@ class TruncatedSeries(_Value):
 
     __slots__ = ("bound", "_width", "_tails", "_sums")
 
-    def __init__(self, bound: int, coeffs: Mapping[TypeVector, int] | None = None):
+    def __new__(cls, bound: int, coeffs: Mapping[TypeVector, int] | None = None) -> TruncatedSeries:
         _require_bound(bound)
         columns = []  # each term as a column, zeros below its m_1
         for m, value in (coeffs or {}).items():
@@ -316,9 +318,7 @@ class TruncatedSeries(_Value):
             if value != 0 and m.edge_weight <= bound:
                 m1, *tail = m.entries or (0,)
                 columns.append((m.edge_weight - m1, _code(tail), [0] * m1 + [value]))
-        packed = _pack(bound, columns)
-        for name in self.__slots__:
-            object.__setattr__(self, name, getattr(packed, name))
+        return _pack(bound, columns)
 
     @classmethod
     def _of(cls, bound: int, width: int, tails: dict, sums: list) -> TruncatedSeries:
@@ -330,8 +330,8 @@ class TruncatedSeries(_Value):
     @classmethod
     def _packed(cls, bound: int, table: list) -> TruncatedSeries:
         """A series from a table of one list over m_1 per tail of ``_graded_tails(bound)``."""
-        columns = enumerate(zip(_graded_tails(bound)[1], table))
-        return _pack(bound, ((r, c, v) for r, (cs, vs) in columns for c, v in zip(cs, vs)))
+        grades = enumerate(zip(_graded_tails(bound)[1], table, strict=True))
+        return _pack(bound, ((r, *cv) for r, grade in grades for cv in zip(*grade, strict=True)))
 
     @classmethod
     def one(cls, bound: int) -> TruncatedSeries:

@@ -172,10 +172,8 @@ _set_mark = MarkedSubdigon.mark.__set__
 def _marked_subdigon(word: Word, mark: int) -> MarkedSubdigon:
     """Trusted constructor: the subdigon of a valid boundary word, marked at an
     edge known to lie within its first external face."""
-    sub = _new(Subdigon)
-    _set_boundary(sub, word)
     marked = _new(MarkedSubdigon)
-    _set_subdigon(marked, sub)
+    _set_subdigon(marked, _subdigon(word))
     _set_mark(marked, mark)
     return marked
 

@@ -171,10 +171,8 @@ _set_mark = MarkedTree.mark.__set__
 def _marked_tree(word: Word, mark: int) -> MarkedTree:
     """Trusted constructor: the tree of a valid preorder degree word, marked at
     a position known to be an initial leaf."""
-    tree = _new(OrderedTree)
-    _set_word(tree, word)
     marked = _new(MarkedTree)
-    _set_tree(marked, tree)
+    _set_tree(marked, _tree(word))
     _set_mark(marked, mark)
     return marked
 

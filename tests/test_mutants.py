@@ -144,3 +144,18 @@ def test_a_short_count_table_cannot_pass(capsys, monkeypatch, short):
     code = cli.main(["verify", "--checks", "marked-trees", "--max-weight", "6"])
     capsys.readouterr()
     assert code != 0
+
+
+def test_a_short_count_table_writes_no_table(capsys, monkeypatch):
+    # the writer zips each block's tail texts and columns strictly, so the table missing its
+    # last row is never written: the run crashes before its one write
+    real = factorization._count_table
+
+    def shortened(bound, count):
+        table = real(bound, count)
+        table[-1].pop()
+        return table
+
+    monkeypatch.setattr(factorization, "_count_table", shortened)
+    code = cli.main(["g-table", "--max-weight", "4", "--with-counts"])
+    assert (code, capsys.readouterr().out) == (3, "")

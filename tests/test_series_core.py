@@ -89,6 +89,14 @@ def test_text_roundtrip():
             V.parse("9" * (limit + 1))
 
 
+@pytest.mark.parametrize("n", [True, 2.0, "2"])
+@pytest.mark.parametrize("build", [V.unit, lambda n: TruncatedSeries.variable(n, 3)])
+def test_a_variable_index_that_is_not_an_int_is_a_type_error(build, n):
+    # True == 1 would pass as t1; 2.0 and "2" would fail in arithmetic that names no index
+    with pytest.raises(TypeError, match=f"^variable index must be an int, got {n!r}$"):
+        build(n)
+
+
 def test_unit_and_arithmetic():
     assert V.unit(3) == V((0, 0, 1))
     assert V((1, 1)) + V.unit(1) == V((2, 1))
@@ -453,6 +461,17 @@ def test_mismatch_listing():
     # every monomial up to the bound, zeros included: each row is one comparison
     rows = [((), 1, 1), ((1,), 2, 3), ((2,), 0, 0), ((0, 1), 0, 1)]
     assert list(_coefficient_rows(a, b)) == rows
+
+
+@pytest.mark.parametrize("short", ["weight", "tail"])
+def test_a_short_table_cannot_be_packed(short):
+    # the tails and the table are zipped strictly, as in _rows: neither is a smaller series
+    s = sum_of_variables(6)
+    table = s._table()
+    assert TruncatedSeries._packed(6, table) == s
+    (table if short == "weight" else table[-1]).pop()
+    with pytest.raises(ValueError):
+        TruncatedSeries._packed(6, table)
 
 
 # The subdigon enumerator recurses through its lru_cache (directly, and
